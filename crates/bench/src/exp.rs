@@ -1,17 +1,17 @@
-//! The **cached experiment framework** behind `td exp`.
+//! The **cached experiment framework** behind `td exp` — the one place
+//! every reproduction experiment runs.
 //!
-//! Every reproduction experiment so far is a one-shot: the `repro` binary
-//! prints tables, `td perf` overwrites its benchmark file, and rerunning
-//! anything repays the full cost. This module adopts the
-//! skip-existing-results pattern (mergeable-etcd's experiment runner, see
-//! SNIPPETS.md): a registry of experiment definitions — the E15–E18
-//! reproductions, the E21 protocol race, and the full perf trajectory —
-//! where each *configuration* hashes its identity (experiment id, workload
-//! spec string, executor grid point, seed, repeat count, schema version)
-//! into a cache key, and its result lands in `results/<exp>/<key>.json`.
-//! Rerunning skips every configuration whose file already exists;
-//! `--force` re-executes; a manifest records the hit/miss split of every
-//! run.
+//! It adopts the skip-existing-results pattern (mergeable-etcd's
+//! experiment runner, see SNIPPETS.md): a registry of experiment
+//! definitions — the paper-claim reproductions e1–e9, e12, e14 and
+//! `stress` (`exp/paper.rs`), the E15–E18 system experiments, the E19 serve
+//! totals, the E21 protocol race, and the full perf trajectory — where each
+//! *configuration* hashes its identity (experiment id, workload spec
+//! string, executor grid point, seed, repeat count, schema version) into a
+//! cache key, and its result lands in `results/<exp>/<key>.json`.
+//! Rerunning skips every configuration whose file already exists and
+//! parses (results are written through a temp file and a rename);
+//! `--force` re-executes; a manifest records the hit/miss split of a run.
 //!
 //! The **render** stage is a pure function of the cache: it regenerates
 //! deterministic SVG plots ([`crate::plot`]) under `plots/`, markdown
@@ -19,7 +19,7 @@
 //! EXPERIMENTS.md, and the committed `BENCH_*.json` trajectory — cached
 //! `td-perf/v1` point fragments are spliced back verbatim, so the
 //! benchmark file becomes a derived artifact instead of a hand-run one.
-//! `scripts/kick-tires.sh` (small sizes, subset, what CI runs) and
+//! `scripts/kick-tires.sh` (small sizes, what CI runs) and
 //! `scripts/full.sh` (the whole sweep) are thin wrappers over
 //! `td exp run` + `td exp render`.
 
@@ -33,6 +33,8 @@ use std::path::{Path, PathBuf};
 use td_core::proposal;
 use td_local::churn::RepairMode;
 use td_local::Simulator;
+
+mod paper;
 
 /// Schema tag of every cached result document and the run manifest.
 pub const SCHEMA: &str = "td-exp/v1";
@@ -289,6 +291,78 @@ impl ExperimentDef {
 /// The experiment registry.
 pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
+        id: "e1",
+        plane: "game",
+        about: "Thm 4.1: token dropping in O(L·Δ²) rounds — Δ sweep at fixed L, L sweep at fixed Δ",
+        units: paper::e1_units,
+    },
+    ExperimentDef {
+        id: "e2",
+        plane: "game",
+        about: "Thm 4.7: 3-level games in O(Δ) rounds vs the general algorithm",
+        units: paper::e2_units,
+    },
+    ExperimentDef {
+        id: "e3",
+        plane: "matching",
+        about: "Thm 4.6: bipartite maximal matching via height-2 token dropping",
+        units: paper::e3_units,
+    },
+    ExperimentDef {
+        id: "e4",
+        plane: "orient",
+        about: "Thm 5.1: stable orientation, phase algorithm vs arbitrary-start baseline",
+        units: paper::e4_units,
+    },
+    ExperimentDef {
+        id: "e5",
+        plane: "orient",
+        about: "Section 6: Ω(Δ) lower-bound certificates on trees and high-girth regular graphs",
+        units: paper::e5_units,
+    },
+    ExperimentDef {
+        id: "e6",
+        plane: "assign",
+        about: "Thm 7.3: stable assignment over a (C, S) grid, phases vs the 2·C·S bound",
+        units: paper::e6_units,
+    },
+    ExperimentDef {
+        id: "e7",
+        plane: "assign",
+        about: "Thm 7.5: 2-bounded vs exact stable assignment, per-phase TD rounds",
+        units: paper::e7_units,
+    },
+    ExperimentDef {
+        id: "e8",
+        plane: "assign",
+        about: "[CHSW12]: stable assignment 2-approximates the optimal semi-matching",
+        units: paper::e8_units,
+    },
+    ExperimentDef {
+        id: "e9",
+        plane: "matching",
+        about: "Thm 7.4: maximal matching from a 2-bounded stable assignment",
+        units: paper::e9_units,
+    },
+    ExperimentDef {
+        id: "e12",
+        plane: "orient",
+        about: "ablation: load-aware vs load-blind proposals, plus phase-trajectory convergence",
+        units: paper::e12_units,
+    },
+    ExperimentDef {
+        id: "e14",
+        plane: "orient",
+        about: "Thm 5.1 end-to-end: the distributed protocol's rounds equal the explicit Θ(Δ⁴) budget",
+        units: paper::e14_units,
+    },
+    ExperimentDef {
+        id: "stress",
+        plane: "game",
+        about: "adversarial games: contention comb (Θ(k) floor) and waterfall",
+        units: paper::stress_units,
+    },
+    ExperimentDef {
         id: "e15",
         plane: "churn",
         about: "repair locality: incremental repair vs from-scratch recompute across the churn registry",
@@ -297,7 +371,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         id: "e16",
         plane: "sharded",
-        about: "shard-count sweep over the rotor-sweep game: cut edges and skipped shard-rounds",
+        about: "shard-count sweep over the rotor-sweep game, plus the server-farm bad-locality control",
         units: e16_units,
     },
     ExperimentDef {
@@ -472,9 +546,17 @@ impl Manifest {
     }
 }
 
+/// Writes `text` to `path` through a temporary file in the same directory
+/// and a rename, so readers see either the old file or the whole new one.
+fn write_atomically(path: &Path, text: &str) -> Result<(), String> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, text).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, path).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 /// Runs the selected experiments (empty `ids` = all): every configuration
-/// whose `results/<exp>/<key>.json` already exists is skipped untouched
-/// (unless `force`), everything else executes and is written. The manifest
+/// whose `results/<exp>/<key>.json` already exists and parses is skipped
+/// untouched (unless `force`), everything else executes and is written. The manifest
 /// lands in `results/manifest.json`. Errors are unknown ids, unit
 /// failures, or I/O failures on the results directory.
 pub fn run(
@@ -499,15 +581,18 @@ pub fn run(
         for unit in def.units(cfg)? {
             let key = unit_key(def.id, &unit, cfg.seed);
             let path = result_path(results, def.id, key);
-            let status = if path.exists() && !force {
+            // A file that does not parse (truncated, stale schema) is a
+            // miss: it is re-executed and replaced.
+            let cached = !force
+                && std::fs::read_to_string(&path).is_ok_and(|text| read_result_doc(&text).is_ok());
+            let status = if cached {
                 UnitStatus::Hit
             } else {
                 let data =
                     (unit.runner)().map_err(|e| format!("{}/{}: {e}", def.id, unit.label))?;
                 let doc = write_result_doc(def.id, &unit, key, cfg.seed, &data);
-                std::fs::write(&path, doc)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                if force && manifest.force {
+                write_atomically(&path, &doc)?;
+                if force {
                     UnitStatus::Forced
                 } else {
                     UnitStatus::Ran
@@ -522,8 +607,7 @@ pub fn run(
         }
     }
     let mpath = results.join("manifest.json");
-    std::fs::write(&mpath, manifest.write_json())
-        .map_err(|e| format!("cannot write {}: {e}", mpath.display()))?;
+    write_atomically(&mpath, &manifest.write_json())?;
     Ok(manifest)
 }
 
@@ -580,6 +664,18 @@ pub fn render(cfg: &ExpConfig, ids: &[String], results: &Path) -> Result<Rendere
     for def in defs {
         let units = load_units(def, cfg, results)?;
         let (table, plot) = match def.id {
+            "e1" => (paper::render_e1(&units), None),
+            "e2" => (paper::render_e2(&units), None),
+            "e3" => (paper::render_e3(&units), None),
+            "e4" => (paper::render_e4(&units), None),
+            "e5" => (paper::render_e5(&units), None),
+            "e6" => (paper::render_e6(&units), None),
+            "e7" => (paper::render_e7(&units), None),
+            "e8" => (paper::render_e8(&units), None),
+            "e9" => (paper::render_e9(&units), None),
+            "e12" => (paper::render_e12(&units), None),
+            "e14" => (paper::render_e14(&units), None),
+            "stress" => (paper::render_stress(&units), None),
             "e15" => (render_e15_table(&units), Some(render_e15_plot(&units))),
             "e16" => (render_e16_table(&units), None),
             "e17" => (render_e17_table(&units), None),
@@ -781,7 +877,38 @@ fn e16_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
             move || e16_run(width, Some(k), threads),
         ));
     }
+    // The bad-locality control: the Zipf server farm's bipartite hot-server
+    // network has no locality for a partition to find.
+    let (size, seed) = (if cfg.quick { 4 } else { 16 }, cfg.seed);
+    units.push(ExpUnit::new(
+        format!("server-farm/{size}"),
+        format!("server-farm:size={size}:seed={seed}"),
+        format!("sequential+parallel({threads})+sharded(8,{threads})"),
+        1,
+        move || e16_farm(size, seed, threads),
+    ));
     Ok(units)
+}
+
+/// Runs the server farm on every grid point of the control; a point that
+/// disagrees with the sequential rounds or messages fails the unit.
+fn e16_farm(size: u32, seed: u64, threads: usize) -> Result<UnitData, String> {
+    let sc = crate::scenario::find("server-farm").ok_or("server-farm is not registered")?;
+    let seq = sc.run(size, seed, &Simulator::sequential());
+    for sim in [Simulator::parallel(threads), Simulator::sharded(8, threads)] {
+        let rep = sc.run(size, seed, &sim);
+        if (rep.rounds, rep.messages) != (seq.rounds, seq.messages) {
+            return Err(format!("{sim:?} changed rounds/messages"));
+        }
+    }
+    Ok(UnitData {
+        metrics: vec![
+            ("n".into(), seq.nodes as u64),
+            ("rounds".into(), seq.rounds),
+            ("messages".into(), seq.messages),
+        ],
+        ..UnitData::default()
+    })
 }
 
 fn e16_run(width: usize, shards: Option<usize>, threads: usize) -> Result<UnitData, String> {
@@ -811,8 +938,11 @@ fn e16_run(width: usize, shards: Option<usize>, threads: usize) -> Result<UnitDa
 }
 
 fn render_e16_table(units: &[(ExpUnit, UnitData)]) -> String {
+    let (farm, sweep): (Vec<_>, Vec<_>) = units
+        .iter()
+        .partition(|(u, _)| u.spec.starts_with("server-farm:"));
     let mut rows = Vec::new();
-    for (u, d) in units {
+    for (u, d) in sweep {
         rows.push(vec![
             u.grid.clone(),
             metric(d, "n").unwrap_or(0).to_string(),
@@ -823,7 +953,7 @@ fn render_e16_table(units: &[(ExpUnit, UnitData)]) -> String {
             metric(d, "shard_rounds_skipped").map_or("-".into(), |v| v.to_string()),
         ]);
     }
-    md_table(
+    let mut out = md_table(
         &[
             "executor",
             "n",
@@ -834,13 +964,22 @@ fn render_e16_table(units: &[(ExpUnit, UnitData)]) -> String {
             "shard-rounds skipped",
         ],
         &rows,
-    )
+    );
+    for (u, d) in farm {
+        let m = |k| metric(d, k).unwrap_or(0);
+        let (n, rounds, messages) = (m("n"), m("rounds"), m("messages"));
+        out.push_str(&format!(
+            "\nBad-locality control `{}` (n = {n}): {rounds} rounds and {messages} messages \
+             on every grid point of `{}`.\n",
+            u.spec, u.grid
+        ));
+    }
+    out
 }
 
 // ------------------------------------------------ experiment: e17 scaling ---
 
-/// Family × size ladder of the one-shot scaling experiment, mirroring the
-/// repro binary's E17 plan.
+/// Family × size ladder of the one-shot scaling experiment.
 const E17_PLAN: &[(&str, &[u32])] = &[
     ("regular", &[24, 48, 96]),
     ("grid", &[5, 8, 12]),
@@ -984,6 +1123,14 @@ fn e18_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
                     };
                     let seq = by("sequential")?;
                     let sparse = by("sharded(1,1)")?;
+                    // The sparse scheduler skips exactly the node-rounds
+                    // the dense scan wastes on halted residents.
+                    if seq.counters.halted_scans != sparse.counters.sparse_skips {
+                        return Err(format!(
+                            "sparse_skips {} != halted_scans {}",
+                            sparse.counters.sparse_skips, seq.counters.halted_scans
+                        ));
+                    }
                     let dense = seq.nodes as u64 * seq.rounds;
                     let active_ppm = seq
                         .counters

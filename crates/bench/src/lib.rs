@@ -2,9 +2,10 @@
 //! registry (named workloads behind one interface), the parametric
 //! [`spec`] workload generator suite plus its differential [`fuzz`] plane,
 //! the long-running [`serve`] daemon with its open-loop load generator,
-//! workload builders with controlled (Δ, L, C, S) parameters, aligned
-//! table printing, and growth-rate fitting for the shape checks in
-//! EXPERIMENTS.md.
+//! the cached experiment plane [`exp`] behind `td exp` (every
+//! EXPERIMENTS.md table), workload builders with controlled (Δ, L, C, S)
+//! parameters, aligned table printing, and growth-rate fitting for the
+//! shape checks.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -62,12 +63,6 @@ pub mod workloads {
         }
         td_graph::gen::random::random_regular(n, d, &mut rng, 500)
             .expect("configuration model converges")
-    }
-
-    /// An Erdős–Rényi graph with average degree `avg_deg`.
-    pub fn gnm_graph(n: usize, avg_deg: usize, seed: u64) -> CsrGraph {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        td_graph::gen::random::gnm(n, n * avg_deg / 2, &mut rng)
     }
 
     /// A bipartite assignment instance with customer degree exactly `c` and
@@ -131,7 +126,7 @@ pub mod workloads {
     }
 }
 
-/// Minimal aligned-table printer for the `repro` binary.
+/// Minimal aligned-table printer for the CLI listings and reports.
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -227,11 +222,6 @@ pub fn mean(v: &[f64]) -> f64 {
     }
 }
 
-/// Max of a slice.
-pub fn max(v: &[f64]) -> f64 {
-    v.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +262,6 @@ mod tests {
     #[test]
     fn stats_helpers() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(max(&[1.0, 5.0, 3.0]), 5.0);
         assert_eq!(mean(&[]), 0.0);
     }
 }

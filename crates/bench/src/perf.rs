@@ -1,8 +1,7 @@
 //! The **perf telemetry plane**: a machine-readable performance trajectory
 //! for the whole executor stack.
 //!
-//! Every PR so far has asserted its speedups in prose (criterion numbers in
-//! EXPERIMENTS.md); this module turns them into data. One sweep —
+//! Speedups asserted in prose become data here. One sweep —
 //! scenario × executor × size — runs representative workloads from the
 //! [`crate::spec`] families plus one synthetic quiescing showcase through
 //! the sequential executor and the pinned-worker sharded engine — both as

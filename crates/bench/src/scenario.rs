@@ -1,7 +1,8 @@
 //! The **Scenario registry**: named, seeded, sized workloads behind one
-//! interface, so every consumer — the `repro` experiment binary, the
-//! criterion benches, and the `td bench` CLI subcommand — runs workloads the
-//! same way instead of growing its own ad-hoc generators.
+//! interface, so every consumer — the `td bench` CLI subcommand, the
+//! `td exp` experiments, the golden snapshots, and the differential
+//! suites — runs workloads the same way instead of growing its own ad-hoc
+//! generators.
 //!
 //! A [`Scenario`] bundles instance construction *and* the paper-faithful
 //! solver for it, verifies the output, and reports a uniform
@@ -276,9 +277,8 @@ impl Scenario for Waterfall {
 struct RotorSweep;
 
 /// The rotor-sweep instance at level width `w` (the same construction the
-/// `rotor-sweep` scenario runs) — exposed for experiment E16 and the
-/// sharded criterion bench, which need the raw [`TokenGame`] to reach the
-/// executor's sharding statistics.
+/// `rotor-sweep` scenario runs) — exposed for experiment E16, which needs
+/// the raw [`TokenGame`] to reach the executor's sharding statistics.
 pub fn rotor_sweep_game(w: usize) -> TokenGame {
     RotorSweep::build(w.max(2))
 }

@@ -1,6 +1,6 @@
 //! Tour of the **scenario registry**: every named workload in `td-bench`,
 //! run end-to-end through the same [`td_bench::Scenario`] interface the
-//! `td bench` CLI subcommand and the criterion benches use.
+//! `td bench` CLI subcommand and the `td exp` experiments use.
 //!
 //! Each scenario bundles instance construction with the paper-faithful
 //! solver and verifies its own output, so this example doubles as a smoke

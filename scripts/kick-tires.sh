@@ -2,13 +2,15 @@
 # Kick-tires artifact pass (CI + reviewers): exercises the cached
 # experiment plane end to end in well under five minutes.
 #
-#   1. cold `td exp run --quick` over every registered experiment — this
-#      covers the perf telemetry, serve daemon, and compare planes that
-#      used to have individual smoke steps;
+#   1. cold `td exp run --quick` over every registered experiment — the
+#      paper claims plus the perf telemetry, serve daemon, and compare
+#      planes;
 #   2. warm rerun: every configuration must come from the cache
 #      ("misses: 0");
-#   3. double render: plots and the regenerated benchmark document must
-#      be byte-identical across renders of the same cache;
+#   3. double render: plots, the regenerated benchmark document, and
+#      EXPERIMENTS.md with every table spliced in must be byte-identical
+#      across renders of the same cache (an experiment without a marker
+#      block in EXPERIMENTS.md fails the splice);
 #   4. schema pins on the manifest, cached results, and benchmark file.
 #
 # Everything lands under kick-tires/ (gitignored). The full artifact
@@ -32,11 +34,16 @@ echo "== warm rerun must execute zero configurations =="
 grep -q 'misses: 0' "$SCRATCH/warm.txt"
 
 echo "== render twice; artifacts must be byte-identical =="
+cp EXPERIMENTS.md "$SCRATCH/EXPERIMENTS.md"
+cp EXPERIMENTS.md "$SCRATCH/EXPERIMENTS2.md"
 "$TD" exp render --quick --results "$RESULTS" \
-  --plots "$SCRATCH/plots" --bench "$SCRATCH/bench.json"
+  --plots "$SCRATCH/plots" --bench "$SCRATCH/bench.json" \
+  --experiments-md "$SCRATCH/EXPERIMENTS.md"
 "$TD" exp render --quick --results "$RESULTS" \
-  --plots "$SCRATCH/plots2" --bench "$SCRATCH/bench2.json"
+  --plots "$SCRATCH/plots2" --bench "$SCRATCH/bench2.json" \
+  --experiments-md "$SCRATCH/EXPERIMENTS2.md"
 cmp "$SCRATCH/bench.json" "$SCRATCH/bench2.json"
+cmp "$SCRATCH/EXPERIMENTS.md" "$SCRATCH/EXPERIMENTS2.md"
 for f in "$SCRATCH"/plots/*.svg; do
   cmp "$f" "$SCRATCH/plots2/$(basename "$f")"
 done

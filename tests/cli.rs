@@ -884,7 +884,10 @@ fn exp_list_shows_the_registry() {
     for args in [&["exp"][..], &["exp", "--list"][..]] {
         let (out, err, ok) = run_td(args, None);
         assert!(ok, "{err}");
-        for id in ["e15", "e16", "e17", "e18", "e19", "e21", "perf"] {
+        for id in [
+            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e12", "e14", "stress", "e15",
+            "e16", "e17", "e18", "e19", "e21", "perf",
+        ] {
             assert!(out.contains(id), "listing misses {id}:\n{out}");
         }
         assert!(out.contains("td exp run"), "{out}");

@@ -5,6 +5,8 @@
 //! * a warm rerun satisfies every configuration from the cache and leaves
 //!   the cached files byte-identical — nothing re-executes;
 //! * `--force` re-executes everything even over a warm cache;
+//! * a cached file that does not parse (truncated by an interrupted run,
+//!   say) is a miss: it is re-executed and replaced, and render recovers;
 //! * changing any key component (seed, workload spec, executor grid,
 //!   schema version) lands on a different cache key, so stale results can
 //!   never be served for a different configuration;
@@ -103,6 +105,33 @@ fn force_reexecutes_over_a_warm_cache() {
 }
 
 #[test]
+fn corrupt_cached_result_is_a_miss_and_render_recovers() {
+    let dir = scratch("corrupt");
+    let cfg = ExpConfig::quick();
+
+    let cold = exp::run(&cfg, &ids(&["e17"]), &dir, false).expect("cold run");
+    let victim = exp::result_path(&dir, "e17", cold.units[0].key);
+    let intact = fs::read_to_string(&victim).expect("cached result");
+    fs::write(&victim, &intact[..intact.len() / 2]).expect("truncate");
+
+    let warm = exp::run(&cfg, &ids(&["e17"]), &dir, false).expect("warm run");
+    assert_eq!(warm.misses(), 1, "only the corrupt file re-executes");
+    assert_eq!(warm.units[0].status, UnitStatus::Ran);
+    assert!(warm.units[1..].iter().all(|u| u.status == UnitStatus::Hit));
+    assert_eq!(
+        fs::read_to_string(&victim).expect("rewritten"),
+        intact,
+        "the re-executed result replaces the corrupt file"
+    );
+    exp::render(&cfg, &ids(&["e17"]), &dir).expect("render after recovery");
+
+    // Writes go through a temp file and a rename: none is left behind.
+    assert!(!victim.with_extension("json.tmp").exists());
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn changing_seed_or_grid_misses_the_cache() {
     let dir = scratch("components");
     let cfg = ExpConfig::quick();
@@ -177,7 +206,10 @@ fn key_components(
     repeat: usize,
     version: u32,
 ) -> (String, String, String, u64, usize, u32) {
-    const EXPS: [&str; 7] = ["e15", "e16", "e17", "e18", "e19", "e21", "perf"];
+    const EXPS: [&str; 19] = [
+        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e12", "e14", "stress", "e15", "e16",
+        "e17", "e18", "e19", "e21", "perf",
+    ];
     const FAMILIES: [&str; 4] = ["grid", "torus", "rotor", "hypercube"];
     const GRIDS: [&str; 4] = [
         "sequential",
@@ -209,9 +241,9 @@ proptest! {
     /// no component, so the joined form cannot alias.)
     #[test]
     fn canonical_key_is_injective(
-        exp_a in 0usize..7, fam_a in 0usize..4, size_a in 3u32..9, sseed_a in 0u64..1000,
+        exp_a in 0usize..19, fam_a in 0usize..4, size_a in 3u32..9, sseed_a in 0u64..1000,
         grid_a in 0usize..4, seed_a in 0u64..1000, rep_a in 1usize..4, ver_a in 1u32..3,
-        exp_b in 0usize..7, fam_b in 0usize..4, size_b in 3u32..9, sseed_b in 0u64..1000,
+        exp_b in 0usize..19, fam_b in 0usize..4, size_b in 3u32..9, sseed_b in 0u64..1000,
         grid_b in 0usize..4, seed_b in 0u64..1000, rep_b in 1usize..4, ver_b in 1u32..3,
     ) {
         let a = key_components(exp_a, fam_a, size_a, sseed_a, grid_a, seed_a, rep_a, ver_a);

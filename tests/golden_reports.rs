@@ -168,7 +168,7 @@ fn compare_golden_is_executor_independent() {
     );
 }
 
-/// One rendered `td exp` markdown table (e17) and one rendered SVG plot
+/// Two rendered `td exp` markdown tables (e14, e17) and one rendered SVG plot
 /// (e21's race chart), produced from a warm quick-mode cache, pinned as
 /// golden snapshots. Everything upstream is deterministic — workload
 /// generation, protocol execution, integer-math plot layout — so the
@@ -184,16 +184,18 @@ fn exp_render_matches_its_golden_snapshots() {
     let _ = std::fs::remove_dir_all(&results);
 
     let cfg = exp::ExpConfig::quick();
-    let ids: Vec<String> = vec!["e17".into(), "e21".into()];
+    let ids: Vec<String> = vec!["e14".into(), "e17".into(), "e21".into()];
     exp::run(&cfg, &ids, &results, false).expect("exp run at quick size");
     let rendered = exp::render(&cfg, &ids, &results).expect("exp render from warm cache");
 
-    let table = rendered
-        .tables
-        .iter()
-        .find(|(id, _)| id == "e17")
-        .map(|(_, block)| block.clone())
-        .expect("e17 renders a table");
+    let table = |exp: &str| {
+        rendered
+            .tables
+            .iter()
+            .find(|(id, _)| id == exp)
+            .map(|(_, block)| block.clone())
+            .unwrap_or_else(|| panic!("{exp} renders a table"))
+    };
     let plot = rendered
         .plots
         .iter()
@@ -216,7 +218,8 @@ fn exp_render_matches_its_golden_snapshots() {
 
     let mut failures = Vec::new();
     for (name, actual) in [
-        ("exp-e17-table.golden", table),
+        ("exp-e14-table.golden", table("e14")),
+        ("exp-e17-table.golden", table("e17")),
         ("exp-e21-race.svg.golden", plot),
     ] {
         let path = dir.join(name);

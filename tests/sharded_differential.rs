@@ -232,3 +232,49 @@ fn quiesced_regions_skip_shard_rounds_without_changing_outputs() {
         "layered drains quiesce top shards early: {stats:?}"
     );
 }
+
+/// Nodes with input `true` broadcast for 40 rounds; the rest halt at once.
+struct HotNodes(bool);
+
+impl td_local::Protocol for HotNodes {
+    type Input = bool;
+    type Message = u8;
+    type Output = ();
+
+    fn init(node: td_local::NodeInit<'_, bool>) -> Self {
+        HotNodes(*node.input)
+    }
+
+    fn round(
+        &mut self,
+        ctx: &td_local::RoundCtx,
+        _: &td_local::Inbox<'_, u8>,
+        outbox: &mut td_local::Outbox<'_, '_, u8>,
+    ) -> td_local::Status {
+        if !self.0 || ctx.round >= 40 {
+            return td_local::Status::Halt;
+        }
+        outbox.broadcast(1);
+        td_local::Status::Continue
+    }
+
+    fn finish(self) {}
+}
+
+/// The node-granular counterpart of the quiesced-shard skip: with one hot
+/// node in every 64, no shard ever fully quiesces (zero skipped
+/// shard-rounds), yet the sparse scheduler never visits a cold node —
+/// its skips are exactly the dense scan's halted scans.
+#[test]
+fn scattered_hot_nodes_skip_node_rounds_but_no_shard_rounds() {
+    let g = token_dropping::graph::gen::classic::path(4096);
+    let inputs: Vec<bool> = (0..4096).map(|v| v % 64 == 0).collect();
+    let seq = Simulator::sequential().run::<HotNodes>(&g, &inputs);
+    let sh = Simulator::sharded(16, 2).run::<HotNodes>(&g, &inputs);
+    assert_eq!((sh.rounds, sh.messages), (seq.rounds, seq.messages));
+    let stats = sh.sharding.expect("sharded stats");
+    assert_eq!(stats.shard_rounds_skipped, 0, "{stats:?}");
+    assert_eq!(sh.perf.halted_scans, 0);
+    assert!(sh.perf.sparse_skips > 0);
+    assert_eq!(sh.perf.sparse_skips, seq.perf.halted_scans);
+}
