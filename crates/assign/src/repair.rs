@@ -610,15 +610,15 @@ impl AssignChurnEngine {
             self.sim.run(self.threads, self.max_rounds)
         };
         assert!(stats.completed, "repair hit the round cap");
-        // Sync the maintained assignment from the node snapshots.
-        for (i, &c) in self.alive.iter().enumerate() {
-            let state = &self.sim.states()[i];
-            self.assigned[c as usize] = match state {
-                AssignRepairNode::Customer(cs) => cs
+        // Sync the maintained assignment from the customers the repair
+        // stepped: no other node state changed.
+        for v in self.sim.stepped() {
+            if let AssignRepairNode::Customer(cs) = &self.sim.states()[v.idx()] {
+                let c = self.alive[v.idx()] as usize;
+                self.assigned[c] = cs
                     .assigned
-                    .map(|p| self.customers[c as usize].as_ref().expect("alive")[p.idx()]),
-                AssignRepairNode::Server(_) => unreachable!("customer range"),
-            };
+                    .map(|p| self.customers[c].as_ref().expect("alive")[p.idx()]);
+            }
         }
         stats
     }

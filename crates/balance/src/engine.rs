@@ -2,10 +2,12 @@
 //! churn events, and audits the run with conservation + potential-ledger
 //! accounting.
 //!
-//! The engine mirrors the orientation churn engine: an immutable-topology
-//! [`ChurnSim`] hosts the node programs, token events perturb node state in
-//! place and wake the neighborhood, and topology events rebuild the sim
-//! carrying the load vector (and the retired work counters) over. The
+//! A [`ChurnSim`] hosts the node programs: token events perturb node state
+//! in place and wake the neighborhood, and topology events rebuild the sim
+//! carrying the load vector (and the retired work counters) over. (The
+//! orientation engine patches topology in place instead; the rotor-router
+//! keeps a per-node pointer that a rebuild resets, so this engine's
+//! topology events are not rebuild-invariant and stay rebuilds.) The
 //! per-round potential accounting required of every balancer lives here:
 //! each granted transfer logs its exact Σ load² drop at the acceptor, the
 //! host logs the potential delta of every token arrival/drop in a ledger,
@@ -435,6 +437,29 @@ mod tests {
                     ChurnEvent::TokenArrive(v)
                 };
                 eng.apply(&ev).unwrap();
+            }
+            eng.verify()
+                .unwrap_or_else(|e| panic!("{}: {e}", rule.name()));
+        }
+    }
+
+    #[test]
+    fn out_of_range_node_ids_are_no_such_entity() {
+        for rule in RULES {
+            let mut eng = stabilized(path(12), 3, rule);
+            for (u, v) in [(0, 12), (30, 1)] {
+                let (u, v) = (NodeId(u), NodeId(v));
+                for ev in [
+                    ChurnEvent::EdgeFlip { u, v },
+                    ChurnEvent::EdgeDelete { u, v },
+                    ChurnEvent::EdgeInsert { u, v },
+                ] {
+                    assert!(
+                        matches!(eng.apply(&ev), Err(ChurnError::NoSuchEntity(_))),
+                        "{}: {ev:?}",
+                        rule.name()
+                    );
+                }
             }
             eng.verify()
                 .unwrap_or_else(|e| panic!("{}: {e}", rule.name()));

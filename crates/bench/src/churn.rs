@@ -56,7 +56,8 @@ pub struct ChurnReport {
     /// Accumulated from-scratch recompute cost (one fresh all-dirty
     /// stabilization per event), if measured.
     pub recompute: Option<RepairStats>,
-    /// Solution fingerprint after the trace (orientation: head per edge;
+    /// Solution fingerprint after the trace (orientation: head per edge in
+    /// canonical endpoint order, see [`Orientation::canonical_heads`];
     /// assignment: server+1 per external customer, 0 = unassigned) — the
     /// quantity the differential tests compare bit-for-bit.
     pub fingerprint: Vec<u32>,
@@ -191,9 +192,9 @@ impl ChurnScenario for EdgeFlipChurn {
         }
         let wall = t0.elapsed();
         let fingerprint: Vec<u32> = eng
-            .graph()
-            .edges()
-            .map(|e| eng.orientation().head(e).expect("complete").0)
+            .orientation()
+            .canonical_heads(eng.graph())
+            .map(|h| h.0)
             .collect();
         let max_load = eng
             .graph()
@@ -516,9 +517,9 @@ impl ChurnScenario for SmallWorldFlux {
         }
         let wall = t0.elapsed();
         let fingerprint: Vec<u32> = eng
-            .graph()
-            .edges()
-            .map(|e| eng.orientation().head(e).expect("complete").0)
+            .orientation()
+            .canonical_heads(eng.graph())
+            .map(|h| h.0)
             .collect();
         let max_load = eng
             .graph()

@@ -612,9 +612,9 @@ pub(crate) fn orient_trace_run(
             .map_err(|e| format!("after event {i}: {e:?}"))?;
     }
     let fp: Vec<u32> = eng
-        .graph()
-        .edges()
-        .map(|e| eng.orientation().head(e).expect("complete").0)
+        .orientation()
+        .canonical_heads(eng.graph())
+        .map(|h| h.0)
         .collect();
     Ok((total, fp))
 }

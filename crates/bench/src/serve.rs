@@ -159,14 +159,16 @@ impl ServeEngine {
         }
     }
 
-    /// FNV-1a over the current solution: orientation heads per edge, or
+    /// FNV-1a over the current solution: orientation heads per edge in
+    /// canonical endpoint order (independent of how churn renumbered edge
+    /// ids), or
     /// `server + 1` per customer slot (0 = unassigned / departed).
     fn fingerprint(&self) -> u64 {
         match self {
             ServeEngine::Orient(e) => fnv1a_words(
-                e.graph()
-                    .edges()
-                    .map(|edge| e.orientation().head(edge).expect("complete orientation").0 as u64),
+                e.orientation()
+                    .canonical_heads(e.graph())
+                    .map(|h| h.0 as u64),
             ),
             ServeEngine::Assign(e) => fnv1a_words(
                 e.assignment_vector()
@@ -1033,10 +1035,10 @@ mod tests {
 
     #[test]
     fn serve_survives_the_stamp_horizon() {
-        // Flip-only trace: the engine never rebuilds its sim, so the round
-        // counter climbs monotonically — the exact profile that panicked at
-        // the pre-fix assert. A lowered horizon crosses the wrap point
-        // dozens of times within one budgeted run.
+        // Flip-only trace: the round counter climbs monotonically — the
+        // exact profile that panicked at the pre-fix assert. A lowered
+        // horizon crosses the wrap point dozens of times within one
+        // budgeted run.
         let mut cfg = ServeConfig::new("small-world").unwrap();
         cfg.spec = cfg
             .spec

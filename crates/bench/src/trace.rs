@@ -910,6 +910,47 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_node_ids_in_a_trace_are_errors_not_panics() {
+        // size=32 nodes: id 37 names no node. Flips and deletes of such
+        // an edge once indexed past the CSR offsets and panicked.
+        let spec = WorkloadSpec::parse("churn-orient:size=32:seed=4:events=2").unwrap();
+        for events in [
+            vec![
+                ChurnEvent::EdgeFlip {
+                    u: NodeId(1),
+                    v: NodeId(2),
+                },
+                ChurnEvent::EdgeFlip {
+                    u: NodeId(3),
+                    v: NodeId(37),
+                },
+            ],
+            vec![
+                ChurnEvent::EdgeDelete {
+                    u: NodeId(40),
+                    v: NodeId(0),
+                },
+                ChurnEvent::EdgeFlip {
+                    u: NodeId(0),
+                    v: NodeId(1),
+                },
+            ],
+        ] {
+            let t = Trace {
+                spec: spec.clone(),
+                source: TraceSource::SpecMix,
+                events,
+            };
+            let back = Trace::read(&t.write()).expect("well-formed document");
+            for (threads, shards) in [(1, 1), (2, 2)] {
+                let got = replay_engine(&back, RepairMode::Incremental, threads, shards);
+                let err = got.expect_err("a non-edge event fails the replay");
+                assert!(err.contains("no such entity"), "{err}");
+            }
+        }
+    }
+
+    #[test]
     fn every_shape_generates_its_exact_budget_and_replays_clean() {
         for s in SHAPES {
             let t = Trace::from_shape(s.name, s.default_size, 7, 48)

@@ -187,8 +187,13 @@ impl GraphBuilder {
             }
         }
 
+        // Rows back to back with no slack: the patch methods grow a row
+        // only once it is full.
+        let rows: Vec<(u32, u32)> = offsets.windows(2).map(|w| (w[0], w[1])).collect();
+        let limits = offsets[1..].to_vec();
         let g = CsrGraph {
-            offsets,
+            rows,
+            limits,
             neighbors,
             edge_ids,
             mirror,

@@ -1,8 +1,8 @@
 //! Compressed-sparse-row storage for simple undirected graphs.
 //!
-//! The CSR layout keeps all adjacency data in three flat arrays, which is the
-//! cache-friendly layout of choice for graph kernels. On top of the plain
-//! neighbor lists we store, for every incident slot:
+//! The CSR layout keeps all adjacency data in three flat slot arrays, which
+//! is the cache-friendly layout of choice for graph kernels. On top of the
+//! plain neighbor lists we store, for every incident slot:
 //!
 //! * the [`EdgeId`] of the undirected edge occupying the slot, and
 //! * the *mirror index*: the position of the reverse slot inside the CSR
@@ -11,27 +11,63 @@
 //! Mirrors are what let the LOCAL-model simulator route messages between the
 //! two endpoints of an edge without any hashing, and what lets protocol code
 //! mark "this undirected edge is consumed" consistently from either side.
+//!
+//! ## Patching in place
+//!
+//! Every node owns a *row* of slots `start..end` with explicit bounds, plus
+//! a capacity `end..limit` it may grow into. [`GraphBuilder`] lays the rows
+//! out back to back with no slack (so a built graph has exactly `2m`
+//! slots), and [`CsrGraph::insert_edge`] / [`CsrGraph::remove_edge`] edit
+//! the graph in O(Δ): a row stays sorted by shifting within it, and a full
+//! row moves to the array tail with doubled capacity, re-pointing the
+//! mirrors of its slots. Slots a row leaves behind are dead; per-slot
+//! arrays are sized by [`CsrGraph::num_slots`], which counts them.
+//!
+//! Edge ids stay dense `0..m` under deletion by *swap-remove*: the edge
+//! with the last id takes the deleted edge's id (see
+//! [`CsrGraph::remove_edge`]). So after churn, id order is no longer
+//! endpoint order; [`CsrGraph::edges`] and [`CsrGraph::edge_list`] walk the
+//! rows and so always yield the canonical endpoint order, which for a built
+//! graph is exactly id order.
 
 use crate::builder::{BuildError, GraphBuilder};
 use crate::ids::{EdgeId, NodeId, Port};
 
 /// A simple undirected graph in CSR form.
 ///
-/// Invariants (all enforced by [`GraphBuilder`]):
+/// Invariants (established by [`GraphBuilder`], kept by the patch methods):
 /// * no self-loops, no parallel edges;
-/// * adjacency lists are sorted by neighbor id;
-/// * `offsets.len() == n + 1`, `neighbors.len() == 2 * m`;
+/// * node `v`'s slots are `rows[v].0..rows[v].1`, sorted by neighbor id;
+///   `rows[v].1..limits[v]` is slack, and no two rows' `start..limit`
+///   ranges overlap;
+/// * the slot arrays have equal length (`>= 2 m`; exactly `2 m` for a
+///   built graph, whose rows are contiguous and slack-free);
 /// * slot `i` holds neighbor `neighbors[i]`, undirected edge `edge_ids[i]`,
-///   and `mirror[i]` is the slot of the same edge at the other endpoint.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///   and `mirror[i]` is the slot of the same edge at the other endpoint;
+/// * edge ids are exactly `0..m`.
+///
+/// Equality is graph equality: the same node count and the same endpoints
+/// for every edge id, whatever the slot layout.
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
-    pub(crate) offsets: Vec<u32>,
+    /// Slot range `(start, end)` of each node's row.
+    pub(crate) rows: Vec<(u32, u32)>,
+    /// Capacity end of each node's row (`rows[v].1..limits[v]` is slack).
+    pub(crate) limits: Vec<u32>,
     pub(crate) neighbors: Vec<u32>,
     pub(crate) edge_ids: Vec<u32>,
     pub(crate) mirror: Vec<u32>,
     /// Endpoints of each undirected edge, with `endpoints[e].0 < endpoints[e].1`.
     pub(crate) endpoints: Vec<(u32, u32)>,
 }
+
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_nodes() == other.num_nodes() && self.endpoints == other.endpoints
+    }
+}
+
+impl Eq for CsrGraph {}
 
 impl CsrGraph {
     /// Builds a graph from an edge list over nodes `0..n`.
@@ -48,7 +84,7 @@ impl CsrGraph {
     /// Number of nodes `n`.
     #[inline(always)]
     pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows.len()
     }
 
     /// Number of undirected edges `m`.
@@ -60,7 +96,8 @@ impl CsrGraph {
     /// Degree of node `v`.
     #[inline(always)]
     pub fn degree(&self, v: NodeId) -> usize {
-        (self.offsets[v.idx() + 1] - self.offsets[v.idx()]) as usize
+        let (lo, hi) = self.rows[v.idx()];
+        (hi - lo) as usize
     }
 
     /// Maximum degree Δ of the graph (0 for the empty graph).
@@ -83,9 +120,8 @@ impl CsrGraph {
     /// The sorted neighbor list of `v`.
     #[inline(always)]
     pub fn neighbors(&self, v: NodeId) -> &[u32] {
-        let lo = self.offsets[v.idx()] as usize;
-        let hi = self.offsets[v.idx() + 1] as usize;
-        &self.neighbors[lo..hi]
+        let (lo, hi) = self.rows[v.idx()];
+        &self.neighbors[lo as usize..hi as usize]
     }
 
     /// Iterator over neighbors of `v` as [`NodeId`]s.
@@ -109,7 +145,7 @@ impl CsrGraph {
     #[inline(always)]
     pub fn slot(&self, v: NodeId, p: Port) -> usize {
         debug_assert!(p.idx() < self.degree(v), "port {p} out of range at {v}");
-        self.offsets[v.idx()] as usize + p.idx()
+        self.rows[v.idx()].0 as usize + p.idx()
     }
 
     /// Given the flat slot of `(v, p)`, the flat slot of the same edge at the
@@ -125,7 +161,7 @@ impl CsrGraph {
         let s = self.slot(v, p);
         let ms = self.mirror_slot(s);
         let u = NodeId(self.neighbors[s]);
-        let p2 = Port((ms - self.offsets[u.idx()] as usize) as u32);
+        let p2 = Port((ms - self.node_offset(u)) as u32);
         (u, p2)
     }
 
@@ -151,10 +187,9 @@ impl CsrGraph {
     /// sorted adjacency list (O(log deg)).
     pub fn port_of(&self, v: NodeId, e: EdgeId) -> Option<Port> {
         let u = self.other_endpoint(e, v);
-        let nbrs = self.neighbors(v);
-        let i = nbrs.binary_search(&u.0).ok()?;
+        let i = self.neighbors(v).binary_search(&u.0).ok()?;
         // Simple graph: neighbor uniquely identifies the edge.
-        debug_assert_eq!(self.edge_ids[self.offsets[v.idx()] as usize + i], e.0);
+        debug_assert_eq!(self.edge_ids[self.node_offset(v) + i], e.0);
         Some(Port(i as u32))
     }
 
@@ -163,43 +198,56 @@ impl CsrGraph {
         (0..self.num_nodes() as u32).map(NodeId)
     }
 
-    /// Iterator over all edge ids `0..m`.
-    pub fn edges(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.num_edges() as u32).map(EdgeId)
+    /// Iterator over all edge ids, in canonical endpoint order (see
+    /// [`CsrGraph::edge_list`]).
+    pub fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.edge_list().map(|(e, _, _)| e)
     }
 
-    /// Iterator over `(EdgeId, u, v)` triples.
+    /// Iterator over `(EdgeId, u, v)` triples with `u < v`, in canonical
+    /// order: `u` ascending, then `v` ascending. For a graph fresh from
+    /// [`GraphBuilder`] this is exactly id order `0..m`; after
+    /// [`CsrGraph::remove_edge`] has swapped ids it is still the order a
+    /// rebuild of the same edge set would number them, so per-edge
+    /// solutions listed in this order compare equal across the two.
     pub fn edge_list(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId)> + '_ {
-        self.endpoints
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, b))| (EdgeId(i as u32), NodeId(a), NodeId(b)))
+        self.nodes().flat_map(move |u| {
+            let (lo, hi) = self.rows[u.idx()];
+            let (lo, hi) = (lo as usize, hi as usize);
+            // Rows are sorted: the neighbors above `u` are a suffix.
+            let above = lo + self.neighbors[lo..hi].partition_point(|&v| v < u.0);
+            self.neighbors[above..hi]
+                .iter()
+                .zip(&self.edge_ids[above..hi])
+                .map(move |(&v, &e)| (EdgeId(e), u, NodeId(v)))
+        })
     }
 
-    /// True if `{u, v}` is an edge (O(log deg)).
+    /// True if `{u, v}` is an edge (O(log deg)). Out-of-range ids are not
+    /// endpoints of any edge.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return false;
+        self.edge_between(u, v).is_some()
+    }
+
+    /// The id of the edge `{u, v}` if present (O(log deg)); `None` for a
+    /// self-pair or an id `>= n`.
+    pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        let n = self.num_nodes();
+        if u == v || u.idx() >= n || v.idx() >= n {
+            return None;
         }
+        // Search the shorter row; the edge id is the same from either side.
         let (s, t) = if self.degree(u) <= self.degree(v) {
             (u, v)
         } else {
             (v, u)
         };
-        self.neighbors(s).binary_search(&t.0).is_ok()
+        let i = self.neighbors(s).binary_search(&t.0).ok()?;
+        Some(EdgeId(self.edge_ids[self.node_offset(s) + i]))
     }
 
-    /// The id of the edge `{u, v}` if present (O(log deg)).
-    pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        if u == v {
-            return None;
-        }
-        let i = self.neighbors(u).binary_search(&v.0).ok()?;
-        Some(EdgeId(self.edge_ids[self.offsets[u.idx()] as usize + i]))
-    }
-
-    /// Total number of directed slots (`2 m`); the size of per-slot arrays such
-    /// as simulator mailboxes.
+    /// Total number of slots, dead ones included (`2 m` for a built
+    /// graph); the size of per-slot arrays such as simulator mailboxes.
     #[inline(always)]
     pub fn num_slots(&self) -> usize {
         self.neighbors.len()
@@ -209,21 +257,141 @@ impl CsrGraph {
     /// per-slot state directly.
     #[inline(always)]
     pub fn node_offset(&self, v: NodeId) -> usize {
-        self.offsets[v.idx()] as usize
+        self.rows[v.idx()].0 as usize
+    }
+
+    /// Inserts the undirected edge `{u, v}` in O(Δ) (amortized: a full row
+    /// first moves to the tail of the slot arrays with doubled capacity).
+    /// The new edge takes id `m`; every other edge keeps its id, and every
+    /// other node keeps its ports, except that the new neighbor's port
+    /// shifts the higher ports of `u` and `v` up by one.
+    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeId, BuildError> {
+        let n = self.num_nodes();
+        if u == v {
+            return Err(BuildError::SelfLoop(u));
+        }
+        for w in [u, v] {
+            if w.idx() >= n {
+                return Err(BuildError::NodeOutOfRange(w, n));
+            }
+        }
+        if self.has_edge(u, v) {
+            return Err(BuildError::DuplicateEdge(u.min(v), u.max(v)));
+        }
+        let e = self.num_edges() as u32;
+        let su = self.open_slot(u, v.0, e);
+        let sv = self.open_slot(v, u.0, e);
+        self.mirror[su] = sv as u32;
+        self.mirror[sv] = su as u32;
+        self.endpoints.push((u.0.min(v.0), u.0.max(v.0)));
+        Ok(EdgeId(e))
+    }
+
+    /// Removes the edge `{u, v}` in O(Δ) and returns the id it had, or
+    /// `None` if there is no such edge.
+    ///
+    /// Ids stay dense by swap-remove: if the removed id `e` was not the
+    /// last one, the edge with id `m - 1` now has id `e` — exactly what
+    /// `Vec::swap_remove(e)` does to a per-edge array. The higher ports of
+    /// `u` and `v` shift down by one; no other node's ports change.
+    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        let e = self.edge_between(u, v)?;
+        let su = self.slot(u, self.port_of(u, e).expect("endpoint port"));
+        let sv = self.mirror_slot(su);
+        self.close_slot(u, su);
+        self.close_slot(v, sv);
+        self.endpoints.swap_remove(e.idx());
+        if let Some(&(a, b)) = self.endpoints.get(e.idx()) {
+            // The former last edge moved into id `e`: relabel its slots.
+            let i = self
+                .neighbors(NodeId(a))
+                .binary_search(&b)
+                .expect("live edge");
+            let s = self.node_offset(NodeId(a)) + i;
+            self.edge_ids[s] = e.0;
+            self.edge_ids[self.mirror[s] as usize] = e.0;
+        }
+        Some(e)
+    }
+
+    /// Opens a slot for neighbor `w` (edge `e`) in `v`'s row at its sorted
+    /// position and returns it; the caller sets its mirror.
+    fn open_slot(&mut self, v: NodeId, w: u32, e: u32) -> usize {
+        if self.rows[v.idx()].1 == self.limits[v.idx()] {
+            self.relocate_row(v);
+        }
+        let (lo, hi) = self.rows[v.idx()];
+        let at = lo as usize + self.neighbors(v).partition_point(|&x| x < w);
+        for s in (at..hi as usize).rev() {
+            self.move_slot(s, s + 1);
+        }
+        self.neighbors[at] = w;
+        self.edge_ids[at] = e;
+        self.rows[v.idx()].1 += 1;
+        at
+    }
+
+    /// Closes slot `s` of `v`'s row, shifting the higher slots down.
+    fn close_slot(&mut self, v: NodeId, s: usize) {
+        let hi = self.rows[v.idx()].1 as usize;
+        for t in s + 1..hi {
+            self.move_slot(t, t - 1);
+        }
+        self.rows[v.idx()].1 -= 1;
+    }
+
+    /// Moves `v`'s full row to the tail of the slot arrays with doubled
+    /// capacity; its old slots become dead.
+    fn relocate_row(&mut self, v: NodeId) {
+        let (lo, hi) = self.rows[v.idx()];
+        let deg = hi - lo;
+        let at = self.num_slots();
+        let cap = (2 * deg).max(2) as usize;
+        assert!(at + cap <= u32::MAX as usize, "slot index overflows u32");
+        for slots in [&mut self.neighbors, &mut self.edge_ids, &mut self.mirror] {
+            slots.resize(at + cap, 0);
+        }
+        for i in 0..deg as usize {
+            self.move_slot(lo as usize + i, at + i);
+        }
+        self.rows[v.idx()] = (at as u32, at as u32 + deg);
+        self.limits[v.idx()] = (at + cap) as u32;
+    }
+
+    /// Copies slot `from` to `to` and re-points the mirror slot at it.
+    fn move_slot(&mut self, from: usize, to: usize) {
+        self.neighbors[to] = self.neighbors[from];
+        self.edge_ids[to] = self.edge_ids[from];
+        let m = self.mirror[from];
+        self.mirror[to] = m;
+        self.mirror[m as usize] = to as u32;
     }
 
     /// Checks all internal invariants; used by tests and the builder.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_nodes();
         let m = self.num_edges();
-        if self.neighbors.len() != 2 * m
-            || self.edge_ids.len() != 2 * m
-            || self.mirror.len() != 2 * m
-        {
+        let len = self.neighbors.len();
+        if self.limits.len() != n || self.edge_ids.len() != len || self.mirror.len() != len {
             return Err("array length mismatch".into());
         }
-        if *self.offsets.last().unwrap() as usize != 2 * m {
-            return Err("offset tail mismatch".into());
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut slots = 0usize;
+        for (v, &(lo, hi)) in self.rows.iter().enumerate() {
+            if !(lo <= hi && hi <= self.limits[v] && self.limits[v] as usize <= len) {
+                return Err(format!("row bounds of v{v} out of order"));
+            }
+            if lo < self.limits[v] {
+                spans.push((lo, self.limits[v]));
+            }
+            slots += (hi - lo) as usize;
+        }
+        spans.sort_unstable();
+        if spans.windows(2).any(|w| w[0].1 > w[1].0) {
+            return Err("rows overlap".into());
+        }
+        if slots != 2 * m {
+            return Err("row degrees do not sum to 2m".into());
         }
         for v in 0..n {
             let nbrs = self.neighbors(NodeId::from(v));
@@ -238,7 +406,7 @@ impl CsrGraph {
                 }
                 let s = self.slot(NodeId::from(v), Port::from(p));
                 let ms = self.mirror_slot(s);
-                if self.mirror_slot(ms) != s {
+                if ms >= len || self.mirror_slot(ms) != s {
                     return Err(format!("mirror not involutive at slot {s}"));
                 }
                 if self.neighbors[ms] != v as u32 {
@@ -331,6 +499,103 @@ mod tests {
         assert!(!g.has_edge(NodeId(1), NodeId(1)));
         assert_eq!(g.edge_between(NodeId(2), NodeId(3)), Some(EdgeId(1)));
         assert_eq!(g.edge_between(NodeId(0), NodeId(3)), None);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_not_endpoints() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        for (u, v) in [(0, 4), (4, 0), (7, 9), (u32::MAX, 1)] {
+            assert!(!g.has_edge(NodeId(u), NodeId(v)));
+            assert_eq!(g.edge_between(NodeId(u), NodeId(v)), None);
+        }
+    }
+
+    #[test]
+    fn insert_grows_rows_and_keeps_them_sorted() {
+        let mut g = CsrGraph::from_edges(5, &[(0, 2), (0, 4), (1, 2)]).unwrap();
+        assert_eq!(g.num_slots(), 6, "a built graph has no slack");
+        assert_eq!(g.insert_edge(NodeId(3), NodeId(0)), Ok(EdgeId(3)));
+        g.validate().unwrap();
+        assert_eq!(g.neighbors(NodeId(0)), &[2, 3, 4]);
+        assert_eq!(g.neighbors(NodeId(3)), &[0]);
+        assert_eq!(g.edge_between(NodeId(0), NodeId(3)), Some(EdgeId(3)));
+        assert_eq!(g.endpoints(EdgeId(3)), (NodeId(0), NodeId(3)));
+        assert_eq!(
+            g.insert_edge(NodeId(0), NodeId(3)),
+            Err(BuildError::DuplicateEdge(NodeId(0), NodeId(3)))
+        );
+        assert_eq!(
+            g.insert_edge(NodeId(1), NodeId(1)),
+            Err(BuildError::SelfLoop(NodeId(1)))
+        );
+        assert_eq!(
+            g.insert_edge(NodeId(1), NodeId(5)),
+            Err(BuildError::NodeOutOfRange(NodeId(5), 5))
+        );
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn remove_swaps_the_last_id_into_the_hole() {
+        let mut g = k4();
+        assert_eq!(g.remove_edge(NodeId(0), NodeId(4)), None);
+        assert_eq!(g.remove_edge(NodeId(2), NodeId(0)), Some(EdgeId(1)));
+        g.validate().unwrap();
+        assert_eq!(g.num_edges(), 5);
+        // {2, 3} had the last id (5) and now has the removed one.
+        assert_eq!(g.endpoints(EdgeId(1)), (NodeId(2), NodeId(3)));
+        assert_eq!(g.edge_between(NodeId(3), NodeId(2)), Some(EdgeId(1)));
+        assert_eq!(g.neighbors(NodeId(0)), &[1, 3]);
+        assert_eq!(g.neighbors(NodeId(2)), &[1, 3]);
+        assert_eq!(g.remove_edge(NodeId(0), NodeId(2)), None);
+        // Removing the last id moves nothing.
+        let last = EdgeId(4);
+        let (a, b) = g.endpoints(last);
+        assert_eq!(g.remove_edge(a, b), Some(last));
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn patched_graph_matches_a_rebuild_of_its_edge_set() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let n = 40u32;
+        let mut g = CsrGraph::from_edges(n as usize, &[]).unwrap();
+        for step in 0..3000 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u == v {
+                continue;
+            }
+            if g.has_edge(NodeId(u), NodeId(v)) && rng.gen_bool(0.45) {
+                g.remove_edge(NodeId(u), NodeId(v)).unwrap();
+            } else if !g.has_edge(NodeId(u), NodeId(v)) {
+                g.insert_edge(NodeId(u), NodeId(v)).unwrap();
+            }
+            if step % 97 == 0 {
+                g.validate().unwrap();
+                let pairs: Vec<(u32, u32)> = g.edge_list().map(|(_, a, b)| (a.0, b.0)).collect();
+                let fresh = CsrGraph::from_edges(n as usize, &pairs).unwrap();
+                // Same rows, and the canonical walk is the rebuild's id order.
+                for v in g.nodes() {
+                    assert_eq!(g.neighbors(v), fresh.neighbors(v));
+                }
+                let fresh_pairs: Vec<(u32, u32)> =
+                    fresh.edge_list().map(|(_, a, b)| (a.0, b.0)).collect();
+                assert_eq!(pairs, fresh_pairs);
+                assert!(fresh.edges().map(|e| e.0).eq(0..fresh.num_edges() as u32));
+                for (e, a, b) in g.edge_list() {
+                    assert_eq!(g.endpoints(e), (a, b));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equality_ignores_slot_layout() {
+        let mut g = CsrGraph::from_edges(3, &[(0, 1)]).unwrap();
+        g.insert_edge(NodeId(1), NodeId(2)).unwrap();
+        assert_eq!(g, CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap());
+        assert_ne!(g.num_slots(), 4, "the rows moved to the tail");
     }
 
     #[test]

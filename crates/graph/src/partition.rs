@@ -43,9 +43,9 @@
 //!   same partition (property-tested).
 //!
 //! No approximation guarantee is claimed for the cut size itself —
-//! balanced minimum cut is NP-hard; `bfs_grown` is a heuristic that the
-//! `sharded` criterion bench and experiment E16 measure against the
-//! strided baseline.
+//! balanced minimum cut is NP-hard; `bfs_grown` is a heuristic, and
+//! experiment e16 (`td exp run e16`) reports the boundary traffic it
+//! leaves on the sharded executor.
 
 use crate::csr::CsrGraph;
 use crate::ids::{EdgeId, NodeId};
@@ -118,7 +118,7 @@ impl Partition {
     }
 
     /// Finishes a partition from a complete `shard_of` map: derives the
-    /// ascending per-shard node lists and the sorted boundary edge set.
+    /// ascending per-shard node lists and the boundary edge set.
     fn from_shard_of(graph: &CsrGraph, shards: usize, shard_of: Vec<u32>) -> Partition {
         let mut nodes: Vec<Vec<u32>> = vec![Vec::new(); shards];
         for (v, &s) in shard_of.iter().enumerate() {
@@ -181,7 +181,8 @@ impl Partition {
         self.nodes.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// The edges crossing shards, in ascending [`EdgeId`] order.
+    /// The edges crossing shards, in canonical edge order
+    /// ([`CsrGraph::edge_list`]; ascending ids for a built graph).
     pub fn boundary_edges(&self) -> &[EdgeId] {
         &self.boundary
     }

@@ -95,6 +95,20 @@ impl<M: Default + Send> MessageArena<M> {
         self.bufs[0].len()
     }
 
+    /// Grows both buffers to `slots` slots; the new slots are
+    /// [`STAMP_EMPTY`], so they hold no message for any round. This is how
+    /// the arena follows a graph whose rows were patched in place
+    /// ([`td_graph::CsrGraph::insert_edge`] appends slots); the existing
+    /// slots keep their stamps, which at quiescence are all stale.
+    pub fn grow(&mut self, slots: usize) {
+        for buf in &mut self.bufs {
+            buf.grow_to(slots, || Slot {
+                stamp: STAMP_EMPTY,
+                msg: M::default(),
+            });
+        }
+    }
+
     /// Rebases the arena's stamps so a long-lived simulation can reset its
     /// monotonic round counter without losing in-flight messages.
     ///
@@ -239,6 +253,21 @@ mod tests {
         assert!(std::ptr::eq(w0.slots, r1.slots));
         assert!(std::ptr::eq(w1.slots, r0.slots));
         assert!(!std::ptr::eq(r0.slots, r1.slots));
+    }
+
+    #[test]
+    fn grown_slots_are_empty_and_old_ones_keep_their_stamps() {
+        let mut arena: MessageArena<u16> = MessageArena::with_slots(2);
+        let (_, w) = arena.epoch(0);
+        unsafe { w.write(1, 5) };
+        arena.grow(6);
+        assert_eq!(arena.num_slots(), 6);
+        let (r, _) = arena.epoch(1);
+        assert_eq!(unsafe { r.get(1) }, Some(&5));
+        for round in [0, 1, 2, u32::MAX - 2] {
+            let (r, _) = arena.epoch(round);
+            assert!((2..6).all(|s| unsafe { r.get(s) }.is_none()));
+        }
     }
 
     #[test]

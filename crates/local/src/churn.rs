@@ -15,7 +15,9 @@
 //!   later message wakes it. Between repairs the node states, the message
 //!   arena, and the round counter all persist, so a repair touches exactly
 //!   the nodes that messages reach — untouched regions are never stepped
-//!   and pay **zero protocol work**.
+//!   and pay **zero protocol work**. Topology churn is patched in place
+//!   too ([`ChurnSim::insert_edge`], [`ChurnSim::remove_edge`],
+//!   [`ChurnSim::reinit`]): an edge update costs O(Δ), not a rebuild.
 //! * [`RepairStats`] — rounds / messages / node-steps of one repair run,
 //!   the quantities experiment E15 compares against full recomputation.
 //!
@@ -46,7 +48,7 @@ use crate::shard::{BatchQueues, SendPtr, ShardPlane, ShardRoute};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Barrier;
-use td_graph::{CsrGraph, NodeId, Partition};
+use td_graph::{BuildError, CsrGraph, EdgeId, NodeId, Partition};
 
 /// One update to a live instance. The vocabulary is shared across the
 /// problem families; each churn engine accepts the variants that make sense
@@ -356,6 +358,11 @@ impl WakeSet {
         }
     }
 
+    /// True if no node is scheduled.
+    fn is_idle(&self) -> bool {
+        self.queue.lock().is_empty()
+    }
+
     /// Drains the queue into a sorted, duplicate-free awake list and clears
     /// the drained flags (so later marks re-enqueue).
     pub(crate) fn drain_sorted(&self) -> Vec<u32> {
@@ -368,12 +375,55 @@ impl WakeSet {
     }
 }
 
+/// The nodes one run stepped, deduplicated (see [`ChurnSim::stepped`]).
+/// Both buffers are reused across runs.
+#[derive(Default)]
+struct StepLog {
+    nodes: Vec<u32>,
+    seen: Vec<bool>,
+}
+
+impl StepLog {
+    fn new(n: usize) -> Self {
+        StepLog {
+            nodes: Vec::new(),
+            seen: vec![false; n],
+        }
+    }
+
+    /// Opens a run: forgets the previous run's list.
+    fn begin(&mut self) {
+        self.nodes.clear();
+    }
+
+    /// Records one round's awake list.
+    fn note(&mut self, awake: &[u32]) {
+        for &v in awake {
+            if !self.seen[v as usize] {
+                self.seen[v as usize] = true;
+                self.nodes.push(v);
+            }
+        }
+    }
+
+    /// Closes a run: clears the marks and sorts the list.
+    fn finish(&mut self) {
+        for &v in &self.nodes {
+            self.seen[v as usize] = false;
+        }
+        self.nodes.sort_unstable();
+    }
+}
+
 /// A persistent, wake-based simulator for churn engines.
 ///
 /// Unlike [`crate::Simulator`], the `ChurnSim` *owns* its graph, node
 /// states, and message arena, and survives across repair runs: `Halt` means
 /// "quiesce until a message arrives", and the round counter is monotonic so
-/// the arena's stamps keep invalidating stale slots for free.
+/// the arena's stamps keep invalidating stale slots for free. Between runs
+/// the host may patch the topology ([`ChurnSim::insert_edge`],
+/// [`ChurnSim::remove_edge`]) and re-initialize nodes
+/// ([`ChurnSim::reinit`]); the sim stays alive across both.
 ///
 /// ```
 /// use td_local::{ChurnSim, Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
@@ -437,7 +487,8 @@ pub struct ChurnSim<P: Protocol> {
     /// [`ChurnSim::set_round_period`]); renormalization rebases the round
     /// counter by a multiple of `lcm(2, round_period)`.
     round_period: u32,
-    /// Lazily built sharded message plane (see [`ChurnSim::run_sharded`]).
+    /// Lazily built sharded message plane (see [`ChurnSim::run_sharded`]);
+    /// dropped by topology patches and rebuilt on next use.
     sharded: Option<ShardState<P::Message>>,
     /// Which message plane holds undelivered messages after a round-capped
     /// run: `None` = quiescent, `Some(0)` = the flat arena, `Some(k)` = the
@@ -447,10 +498,13 @@ pub struct ChurnSim<P: Protocol> {
     /// Lifetime work counters across every repair run (see
     /// [`ChurnSim::exec_perf`]).
     perf: ExecPerf,
+    /// The nodes the last run stepped (see [`ChurnSim::stepped`]).
+    log: StepLog,
 }
 
 /// The sharded message plane of a [`ChurnSim`], cached across repair runs
-/// (the graph of a `ChurnSim` is immutable, so the partition stays valid).
+/// while the topology stays put; a patch drops it, because the partition
+/// and the slot tables follow the graph.
 struct ShardState<M> {
     part: Partition,
     plane: ShardPlane<M>,
@@ -489,6 +543,7 @@ impl<P: Protocol> ChurnSim<P> {
             sharded: None,
             in_flight: None,
             perf: ExecPerf::default(),
+            log: StepLog::new(n),
         }
     }
 
@@ -516,6 +571,83 @@ impl<P: Protocol> ChurnSim<P> {
     pub fn wake_all(&mut self) {
         for v in self.graph.nodes() {
             self.wake.mark(v);
+        }
+    }
+
+    /// The nodes the last run stepped, ascending and without duplicates:
+    /// the only nodes whose state that run may have changed.
+    pub fn stepped(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.log.nodes.iter().map(|&v| NodeId(v))
+    }
+
+    /// Re-runs [`Protocol::init`] for node `v` against the current graph,
+    /// replacing its state (for host-side edits that change a node's ports,
+    /// such as a topology patch).
+    pub fn reinit(&mut self, v: NodeId, input: &P::Input) {
+        self.states[v.idx()] = P::init(NodeInit {
+            id: v,
+            neighbor_ids: self.graph.neighbors(v),
+            input,
+        });
+    }
+
+    /// Inserts the edge `{u, v}` in place (see
+    /// [`CsrGraph::insert_edge`]: O(Δ), ports of `u` and `v` above the new
+    /// one shift up) and grows the message arena to match. Returns the new
+    /// edge's id. The states of `u` and `v` still describe their old ports;
+    /// the host must [`reinit`](ChurnSim::reinit) them (and any node whose
+    /// input the edit changed) before the next run.
+    ///
+    /// # Panics
+    /// Unless the sim is quiescent: no pending wakes, no capped run with
+    /// messages in flight.
+    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeId, BuildError> {
+        self.assert_quiescent();
+        let e = self.graph.insert_edge(u, v)?;
+        self.arena.grow(self.graph.num_slots());
+        self.after_patch();
+        Ok(e)
+    }
+
+    /// Removes the edge `{u, v}` in place and returns the id it had (see
+    /// [`CsrGraph::remove_edge`]: the last edge id moves into the hole,
+    /// ports of `u` and `v` above it shift down), or `None` if there is no
+    /// such edge. The same host duties and quiescence rule as
+    /// [`ChurnSim::insert_edge`] apply.
+    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        self.assert_quiescent();
+        let e = self.graph.remove_edge(u, v)?;
+        self.after_patch();
+        Some(e)
+    }
+
+    fn assert_quiescent(&self) {
+        assert!(
+            self.in_flight.is_none() && self.wake.is_idle(),
+            "topology patches need a quiescent sim"
+        );
+    }
+
+    /// Drops the sharded plane (rebuilt lazily for the new topology) and
+    /// advances the round counter to the next multiple of `lcm(2,
+    /// round_period)` above it: the phase a freshly built sim has at round
+    /// 0, so a patched sim behaves exactly like one rebuilt from scratch.
+    /// Every arena stamp is stale at quiescence, so moved slots carry no
+    /// message.
+    fn after_patch(&mut self) {
+        self.sharded = None;
+        let modulus = self.round_modulus();
+        self.ensure_stamp_headroom(modulus);
+        self.round = (self.round / modulus + 1) * modulus;
+    }
+
+    /// `lcm(2, round_period)`: the step the round counter may be rebased
+    /// or advanced by without the protocol or the arena parity noticing.
+    fn round_modulus(&self) -> u32 {
+        if self.round_period.is_multiple_of(2) {
+            self.round_period
+        } else {
+            self.round_period * 2
         }
     }
 
@@ -572,11 +704,7 @@ impl<P: Protocol> ChurnSim<P> {
         if (self.round as u64) + (max_rounds as u64) < self.stamp_horizon as u64 {
             return;
         }
-        let modulus = if self.round_period.is_multiple_of(2) {
-            self.round_period
-        } else {
-            self.round_period * 2
-        };
+        let modulus = self.round_modulus();
         let old = self.round;
         let new = old % modulus;
         self.arena.renormalize(old, new);
@@ -627,11 +755,13 @@ impl<P: Protocol> ChurnSim<P> {
             self.in_flight.is_none_or(|k| k == 0),
             "a capped sharded run left messages in flight; resume with run_sharded"
         );
+        self.log.begin();
         let stats = if threads <= 1 {
             self.run_sequential(max_rounds)
         } else {
             self.run_parallel(threads, max_rounds)
         };
+        self.log.finish();
         self.absorb_run_perf(&stats, 0);
         self.in_flight = (!stats.completed).then_some(0);
         stats
@@ -646,9 +776,9 @@ impl<P: Protocol> ChurnSim<P> {
     /// and thread count.
     ///
     /// `shards == 1` delegates to the flat plane. The sharded plane is
-    /// built on first use and cached (the graph of a `ChurnSim` never
-    /// changes); a round-capped run must be resumed on the same plane with
-    /// the same shard count.
+    /// built on first use and cached until the next topology patch; a
+    /// round-capped run must be resumed on the same plane with the same
+    /// shard count.
     pub fn run_sharded(&mut self, shards: usize, threads: usize, max_rounds: u32) -> RepairStats {
         assert!(shards >= 1 && threads >= 1);
         if shards == 1 {
@@ -674,12 +804,14 @@ impl<P: Protocol> ChurnSim<P> {
         }
         // Move the plane out so stepping can borrow `self` mutably.
         let st = self.sharded.take().expect("just built");
+        self.log.begin();
         let (stats, boundary) = if threads <= 1 {
             self.run_sharded_sequential(&st, max_rounds)
         } else {
             self.run_sharded_parallel(&st, threads, max_rounds)
         };
         self.sharded = Some(st);
+        self.log.finish();
         self.absorb_run_perf(&stats, boundary);
         self.in_flight = (!stats.completed).then_some(shards);
         stats
@@ -710,6 +842,7 @@ impl<P: Protocol> ChurnSim<P> {
             }
             let ctx = RoundCtx { round: self.round };
             stats.node_steps += awake.len() as u64;
+            self.log.note(&awake);
             for &v in &awake {
                 let node = NodeId(v);
                 let sh = st.part.shard_of(node) as usize;
@@ -799,9 +932,12 @@ impl<P: Protocol> ChurnSim<P> {
         let node_steps = AtomicU64::new(0);
         let rounds_done = AtomicU32::new(0);
         let base_round = self.round;
+        // Worker 0 logs each round's awake list between barriers.
+        let log = Mutex::new(std::mem::take(&mut self.log));
 
         crossbeam::thread::scope(|scope| {
             for w in 0..threads {
+                let log = &log;
                 let awake = &awake;
                 let pending = &pending;
                 let barrier = &barrier;
@@ -877,7 +1013,11 @@ impl<P: Protocol> ChurnSim<P> {
                         // (a) all sends, wake marks and queue appends done.
                         barrier.wait();
                         if w == 0 {
-                            let stepped = awake.lock().len() as u64;
+                            let stepped = {
+                                let list = awake.lock();
+                                log.lock().note(&list);
+                                list.len() as u64
+                            };
                             node_steps.fetch_add(stepped, Ordering::Relaxed);
                             let executed = rounds_done.fetch_add(1, Ordering::Relaxed) + 1;
                             *pending.lock() = st.traffic.drain_sorted();
@@ -928,6 +1068,7 @@ impl<P: Protocol> ChurnSim<P> {
             }
         })
         .expect("sharded churn worker panicked");
+        self.log = log.into_inner();
 
         let rounds = rounds_done.load(Ordering::Relaxed);
         self.round += rounds;
@@ -962,6 +1103,7 @@ impl<P: Protocol> ChurnSim<P> {
             let (reader, writer) = self.arena.epoch(self.round);
             let ctx = RoundCtx { round: self.round };
             stats.node_steps += awake.len() as u64;
+            self.log.note(&awake);
             for &v in &awake {
                 let node = NodeId(v);
                 let inbox = Inbox {
@@ -1029,9 +1171,12 @@ impl<P: Protocol> ChurnSim<P> {
         if awake.lock().is_empty() {
             return RepairStats::accumulator();
         }
+        // Worker 0 logs each round's awake list between barriers.
+        let log = Mutex::new(std::mem::take(&mut self.log));
 
         crossbeam::thread::scope(|scope| {
             for w in 0..threads {
+                let log = &log;
                 let awake = &awake;
                 let barrier = &barrier;
                 let stop = &stop;
@@ -1086,7 +1231,11 @@ impl<P: Protocol> ChurnSim<P> {
                         // (a) all sends and wake marks for this round done.
                         barrier.wait();
                         if w == 0 {
-                            let stepped = awake.lock().len() as u64;
+                            let stepped = {
+                                let list = awake.lock();
+                                log.lock().note(&list);
+                                list.len() as u64
+                            };
                             node_steps.fetch_add(stepped, Ordering::Relaxed);
                             let executed = rounds_done.fetch_add(1, Ordering::Relaxed) + 1;
                             let next = wake.drain_sorted();
@@ -1114,6 +1263,7 @@ impl<P: Protocol> ChurnSim<P> {
             }
         })
         .expect("churn worker panicked");
+        self.log = log.into_inner();
 
         let rounds = rounds_done.load(Ordering::Relaxed);
         self.round += rounds;
@@ -1445,6 +1595,142 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Flood the maximum, but forward only in rounds `≡ 0 (mod 3)`: a
+    /// phase-aligned protocol, so a patch that left the round counter out
+    /// of phase would change its rounds.
+    struct Relay {
+        best: u64,
+        pending: bool,
+    }
+
+    impl Protocol for Relay {
+        type Input = u64;
+        type Message = u64;
+        type Output = u64;
+
+        fn init(node: NodeInit<'_, u64>) -> Self {
+            Relay {
+                best: *node.input,
+                pending: false,
+            }
+        }
+
+        fn round(
+            &mut self,
+            ctx: &RoundCtx,
+            inbox: &Inbox<'_, u64>,
+            outbox: &mut Outbox<'_, '_, u64>,
+        ) -> Status {
+            for (_, &m) in inbox.iter() {
+                if m > self.best {
+                    self.best = m;
+                    self.pending = true;
+                }
+            }
+            if !self.pending {
+                return Status::Halt;
+            }
+            if !ctx.round.is_multiple_of(3) {
+                return Status::Continue;
+            }
+            self.pending = false;
+            outbox.broadcast(self.best);
+            Status::Halt
+        }
+
+        fn finish(self) -> u64 {
+            self.best
+        }
+    }
+
+    fn run_on(sim: &mut ChurnSim<Relay>, threads: usize, shards: usize) -> RepairStats {
+        sim.run_sharded(shards, threads, 10_000)
+    }
+
+    /// Raises node `v` to `value` and runs the flood.
+    fn raise(sim: &mut ChurnSim<Relay>, v: u32, value: u64, grid: (usize, usize)) -> RepairStats {
+        let s = sim.state_mut(NodeId(v));
+        s.best = value;
+        s.pending = true;
+        sim.wake(NodeId(v));
+        run_on(sim, grid.0, grid.1)
+    }
+
+    #[test]
+    fn patched_sim_behaves_like_one_built_over_the_patched_graph() {
+        for grid in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+            let mut sim: ChurnSim<Relay> = ChurnSim::new(path(12), &[0; 12]);
+            sim.set_round_period(3);
+            raise(&mut sim, 0, 5, grid);
+            assert_ne!(
+                sim.round() % 6,
+                0,
+                "the flood left the counter out of phase"
+            );
+            let slots = sim.graph().num_slots();
+            let e = sim.insert_edge(NodeId(9), NodeId(3)).unwrap();
+            assert_eq!(e.0, 11);
+            assert_eq!(sim.round() % 6, 0, "a patch realigns to lcm(2, period)");
+            assert!(
+                sim.graph().num_slots() > slots,
+                "full rows moved to the tail"
+            );
+            assert_eq!(sim.remove_edge(NodeId(5), NodeId(6)), Some(EdgeId(5)));
+            assert_eq!(sim.remove_edge(NodeId(5), NodeId(6)), None);
+            let bests: Vec<u64> = sim.states().iter().map(|s| s.best).collect();
+            for v in [3, 9, 5, 6] {
+                sim.reinit(NodeId(v), &bests[v as usize]);
+            }
+            let patched = raise(&mut sim, 11, 8, grid);
+            let patched_steps: Vec<NodeId> = sim.stepped().collect();
+
+            let edges: Vec<(u32, u32)> = sim
+                .graph()
+                .edge_list()
+                .map(|(_, a, b)| (a.0, b.0))
+                .collect();
+            let mut fresh: ChurnSim<Relay> =
+                ChurnSim::new(CsrGraph::from_edges(12, &edges).unwrap(), &bests);
+            fresh.set_round_period(3);
+            let rebuilt = raise(&mut fresh, 11, 8, grid);
+            assert_eq!(patched, rebuilt, "grid {grid:?}");
+            assert_eq!(patched_steps, fresh.stepped().collect::<Vec<_>>());
+            let outs = |s: &ChurnSim<Relay>| s.states().iter().map(|s| s.best).collect::<Vec<_>>();
+            assert_eq!(outs(&sim), outs(&fresh));
+            // {9, 3} carried the flood across the cut edge {5, 6}.
+            assert!(outs(&sim).iter().all(|&b| b == 8), "{:?}", outs(&sim));
+        }
+    }
+
+    #[test]
+    fn stepped_lists_each_stepped_node_once_on_every_path() {
+        let mut expect = None;
+        for (threads, shards) in [(1, 1), (3, 1), (1, 4), (3, 4)] {
+            let mut sim: ChurnSim<Relay> = ChurnSim::new(cycle(20), &[0; 20]);
+            sim.set_round_period(3);
+            raise(&mut sim, 4, 2, (threads, shards));
+            let first: Vec<u32> = sim.stepped().map(|v| v.0).collect();
+            // A long flood steps nodes several times; each is listed once.
+            assert_eq!(first, (0..20).collect::<Vec<_>>(), "{threads}x{shards}");
+            let quiet = run_on(&mut sim, threads, shards);
+            assert_eq!((quiet.rounds, sim.stepped().len()), (0, 0));
+            sim.wake(NodeId(7));
+            sim.wake(NodeId(2));
+            run_on(&mut sim, threads, shards);
+            let second: Vec<u32> = sim.stepped().map(|v| v.0).collect();
+            assert_eq!(*expect.get_or_insert(second.clone()), second);
+        }
+        assert_eq!(expect, Some(vec![2, 7]), "idle nodes step once and halt");
+    }
+
+    #[test]
+    #[should_panic(expected = "quiescent")]
+    fn patches_need_a_quiescent_sim() {
+        let mut sim: ChurnSim<MaxHold> = ChurnSim::new(path(4), &[0; 4]);
+        sim.wake(NodeId(1));
+        let _ = sim.insert_edge(NodeId(0), NodeId(3));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 
 use std::cell::UnsafeCell;
 
-/// A fixed-size buffer allowing concurrent writes to *disjoint* indices from
-/// multiple threads, plus exclusive access for the owner.
+/// A buffer allowing concurrent writes to *disjoint* indices from multiple
+/// threads, plus exclusive access (including growth) for the owner.
 ///
 /// # Safety contract
 ///
@@ -30,7 +30,7 @@ use std::cell::UnsafeCell;
 ///   edge (the simulator uses a barrier between the write phase and the next
 ///   read phase).
 pub struct DisjointSlots<T> {
-    slots: Box<[UnsafeCell<T>]>,
+    slots: Vec<UnsafeCell<T>>,
 }
 
 // SAFETY: `DisjointSlots` hands out access only through `write` (whose
@@ -42,8 +42,17 @@ unsafe impl<T: Send> Sync for DisjointSlots<T> {}
 impl<T> DisjointSlots<T> {
     /// Creates a buffer of `len` slots built by `init(i)`.
     pub fn new_with(len: usize, mut init: impl FnMut(usize) -> T) -> Self {
-        let slots: Box<[UnsafeCell<T>]> = (0..len).map(|i| UnsafeCell::new(init(i))).collect();
+        let slots: Vec<UnsafeCell<T>> = (0..len).map(|i| UnsafeCell::new(init(i))).collect();
         DisjointSlots { slots }
+    }
+
+    /// Grows the buffer to `len` slots (a no-op if it has that many),
+    /// filling the new ones with `fill()`. Amortized: the backing storage
+    /// at least doubles when it must move.
+    pub fn grow_to(&mut self, len: usize, mut fill: impl FnMut() -> T) {
+        if len > self.slots.len() {
+            self.slots.resize_with(len, || UnsafeCell::new(fill()));
+        }
     }
 
     /// Number of slots.
@@ -114,7 +123,7 @@ impl<T> DisjointSlots<T> {
     /// Exclusive view of the whole buffer (no unsafety: `&mut self`).
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: exclusive borrow of self gives exclusive access to all cells.
-        unsafe { &mut *(self.slots.as_mut() as *mut [UnsafeCell<T>] as *mut [T]) }
+        unsafe { &mut *(self.slots.as_mut_slice() as *mut [UnsafeCell<T>] as *mut [T]) }
     }
 
     /// Shared view of the whole buffer.
@@ -122,7 +131,7 @@ impl<T> DisjointSlots<T> {
     /// # Safety
     /// No thread may be writing any slot while the returned slice is alive.
     pub unsafe fn as_slice(&self) -> &[T] {
-        &*(self.slots.as_ref() as *const [UnsafeCell<T>] as *const [T])
+        &*(self.slots.as_slice() as *const [UnsafeCell<T>] as *const [T])
     }
 }
 
@@ -176,6 +185,13 @@ mod tests {
         let mid = unsafe { s.slice(2, 3) };
         assert_eq!(mid, &[20, 30, 40]);
         assert!(unsafe { s.slice(6, 0) }.is_empty());
+    }
+
+    #[test]
+    fn grow_keeps_contents_and_fills_the_tail() {
+        let mut s = DisjointSlots::new_with(2, |i| i as u8);
+        s.grow_to(5, || 7);
+        assert_eq!(s.as_mut_slice(), &mut [0, 1, 7, 7, 7]);
     }
 
     #[test]

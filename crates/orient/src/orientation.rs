@@ -18,7 +18,8 @@ pub struct Orientation {
     load: Vec<u32>,
 }
 
-/// A witness that an orientation is not stable.
+/// A witness that an orientation is not stable, or that a churn engine's
+/// node states no longer describe it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UnhappyEdge {
     /// An edge is not oriented at all.
@@ -30,6 +31,10 @@ pub enum UnhappyEdge {
         /// Its badness `load(head) - load(tail)` (>= 2 here).
         badness: i64,
     },
+    /// The protocol state of this node disagrees with the maintained
+    /// orientation: an edge direction, its load, or a neighbor-load cache
+    /// (see [`crate::OrientChurnEngine::verify`]).
+    StateMismatch(NodeId),
 }
 
 impl std::fmt::Display for UnhappyEdge {
@@ -38,6 +43,9 @@ impl std::fmt::Display for UnhappyEdge {
             UnhappyEdge::Unoriented(e) => write!(f, "edge {e} is unoriented"),
             UnhappyEdge::Unhappy { edge, badness } => {
                 write!(f, "edge {edge} is unhappy (badness {badness})")
+            }
+            UnhappyEdge::StateMismatch(v) => {
+                write!(f, "state of {v} disagrees with the maintained orientation")
             }
         }
     }
@@ -179,6 +187,37 @@ impl Orientation {
         Ok(())
     }
 
+    /// Follows [`CsrGraph::insert_edge`] (already applied to `g`): the new
+    /// edge `e`, which took the next id, points at `to`.
+    pub fn insert_edge(&mut self, g: &CsrGraph, e: EdgeId, to: NodeId) {
+        assert_eq!(e.idx(), self.head.len(), "a new edge takes the next id");
+        self.head.push(UNORIENTED);
+        self.orient(g, e, to);
+    }
+
+    /// Follows [`CsrGraph::remove_edge`]: drops the removed edge `e`, and
+    /// the direction of the edge with the last id moves into `e`
+    /// (swap-remove, as the graph renumbers it).
+    pub fn remove_edge(&mut self, e: EdgeId) {
+        let h = self.head.swap_remove(e.idx());
+        if h != UNORIENTED {
+            self.load[h as usize] -= 1;
+        }
+    }
+
+    /// The head of every edge, in canonical endpoint order
+    /// ([`CsrGraph::edges`]: `u` ascending, then neighbors `v > u`
+    /// ascending). For a built graph that is id order; after churn has
+    /// renumbered ids it is still the order a rebuild would give, so
+    /// solution fingerprints hash this sequence.
+    ///
+    /// # Panics
+    /// If an edge is unoriented.
+    pub fn canonical_heads<'a>(&'a self, g: &'a CsrGraph) -> impl Iterator<Item = NodeId> + 'a {
+        g.edges()
+            .map(move |e| self.head(e).expect("complete orientation"))
+    }
+
     /// All currently unhappy oriented edges.
     pub fn unhappy_edges<'a>(&'a self, g: &'a CsrGraph) -> impl Iterator<Item = EdgeId> + 'a {
         g.edges()
@@ -261,6 +300,22 @@ mod tests {
         let e = o.unhappy_edges(&g).next().unwrap();
         o.flip(&g, e);
         assert!(o.potential() < before);
+    }
+
+    #[test]
+    fn edge_patches_follow_the_graph_renumbering() {
+        let mut g = cycle(4); // edges 0:{0,1} 1:{0,3} 2:{1,2} 3:{2,3}
+        let mut o = Orientation::toward_larger(&g);
+        let e = g.insert_edge(NodeId(0), NodeId(2)).unwrap();
+        o.insert_edge(&g, e, NodeId(0));
+        assert_eq!(o.load(NodeId(0)), 1);
+        let gone = g.remove_edge(NodeId(0), NodeId(1)).unwrap();
+        o.remove_edge(gone);
+        // {0, 2} took id 0; loads follow the dropped head.
+        assert_eq!(o.head(EdgeId(0)), Some(NodeId(0)));
+        assert_eq!(o.loads(), &[1, 0, 1, 2]);
+        let heads: Vec<u32> = o.canonical_heads(&g).map(|v| v.0).collect();
+        assert_eq!(heads, vec![0, 3, 2, 3], "{{0,2}} {{0,3}} {{1,2}} {{2,3}}");
     }
 
     #[test]

@@ -40,9 +40,23 @@
 //! ([`RepairMode::FullRecompute`]) produce bit-identical orientations,
 //! rounds, and message counts — only the node-step count differs. The
 //! differential tests exploit exactly this.
+//!
+//! ## Topology churn in place
+//!
+//! [`OrientChurnEngine`] never rebuilds. An edge insert or delete patches
+//! the CSR graph and the sim's message arena in O(Δ)
+//! ([`ChurnSim::insert_edge`] / [`ChurnSim::remove_edge`]; ids stay dense
+//! by swap-remove), patches the [`Orientation`] the same way, and
+//! re-initializes only the endpoints and their neighbors. That is exact,
+//! not an approximation: a quiescent node's state equals a fresh `init`
+//! from the maintained orientation, so the patched engine is bit-identical
+//! to one rebuilt from scratch (the `rebuild_oracle` test module keeps
+//! the rebuild as the oracle). After each repair the maintained
+//! orientation is synced from [`ChurnSim::stepped`] only, and
+//! [`OrientChurnEngine::verify`] does the O(m) cross-check.
 
-use crate::orientation::Orientation;
-use td_graph::{CsrGraph, GraphBuilder, NodeId, Port};
+use crate::orientation::{Orientation, UnhappyEdge};
+use td_graph::{CsrGraph, NodeId, Port};
 use td_local::churn::{
     id_bits, split_role, ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats,
 };
@@ -287,6 +301,11 @@ impl Protocol for OrientRepairNode {
 
 /// A live orientation instance under churn: applies [`ChurnEvent`]s and
 /// repairs stability incrementally (or via the full-recompute fallback).
+///
+/// Every event costs O(Δ) host work plus the repair: flips perturb two node
+/// states, inserts and deletes patch the graph, the sim and the
+/// orientation in place, and the maintained orientation is synced from
+/// the nodes the repair stepped.
 pub struct OrientChurnEngine {
     sim: ChurnSim<OrientRepairNode>,
     orientation: Orientation,
@@ -294,10 +313,6 @@ pub struct OrientChurnEngine {
     threads: usize,
     shards: usize,
     max_rounds: u32,
-    stamp_horizon: Option<u32>,
-    /// Work counters of sims retired by topology rebuilds (the live sim's
-    /// share is read on demand; see [`OrientChurnEngine::exec_perf`]).
-    perf_retired: td_local::ExecPerf,
 }
 
 impl OrientChurnEngine {
@@ -309,7 +324,17 @@ impl OrientChurnEngine {
             orientation.fully_oriented(),
             "churn engine needs a complete orientation"
         );
-        let sim = Self::build_sim(&graph, &orientation);
+        let inputs: Vec<RepairInput> = graph
+            .nodes()
+            .map(|v| Self::input_of(&graph, &orientation, v))
+            .collect();
+        let bits = id_bits(graph.num_nodes());
+        let mut sim = ChurnSim::new(graph, &inputs);
+        // round % PHASES picks the phase; split_role reads cycle % 2 and
+        // (cycle / 2) % bits — jointly periodic in 2 · bits cycles. Declared
+        // so stamp renormalization and topology patches can never disturb
+        // the phase/role schedule.
+        sim.set_round_period(PHASES * 2 * bits);
         OrientChurnEngine {
             sim,
             orientation,
@@ -317,8 +342,6 @@ impl OrientChurnEngine {
             threads: 1,
             shards: 1,
             max_rounds: 10_000_000,
-            stamp_horizon: None,
-            perf_retired: td_local::ExecPerf::default(),
         }
     }
 
@@ -344,52 +367,37 @@ impl OrientChurnEngine {
         self
     }
 
-    /// Lowers the stamp-renormalization horizon of the underlying sim (and
-    /// of every sim this engine rebuilds on topology churn) — a test hook
-    /// for crossing the wrap point quickly; see
+    /// Lowers the stamp-renormalization horizon of the underlying sim — a
+    /// test hook for crossing the wrap point quickly; see
     /// [`ChurnSim::set_stamp_horizon`].
     pub fn with_stamp_horizon(mut self, horizon: u32) -> Self {
-        self.stamp_horizon = Some(horizon);
         self.sim.set_stamp_horizon(horizon);
         self
     }
 
     /// Lifetime [`td_local::ExecPerf`] work counters over every repair this
-    /// engine has run, including sims retired by topology rebuilds.
+    /// engine has run.
     pub fn exec_perf(&self) -> td_local::ExecPerf {
-        let mut p = self.perf_retired;
-        p.absorb(self.sim.exec_perf());
-        p
+        self.sim.exec_perf()
     }
 
-    /// Builds the repair sim with the protocol's round period declared, so
-    /// stamp renormalization can never disturb the phase/role schedule.
-    fn build_sim(graph: &CsrGraph, orientation: &Orientation) -> ChurnSim<OrientRepairNode> {
-        let mut sim = ChurnSim::new(graph.clone(), &Self::inputs(graph, orientation));
-        // round % PHASES picks the phase; split_role reads cycle % 2 and
-        // (cycle / 2) % bits — jointly periodic in 2 · bits cycles.
-        sim.set_round_period(PHASES * 2 * id_bits(graph.num_nodes()));
-        sim
-    }
-
-    fn inputs(graph: &CsrGraph, orientation: &Orientation) -> Vec<RepairInput> {
-        let bits = id_bits(graph.num_nodes());
-        graph
-            .nodes()
-            .map(|v| RepairInput {
-                toward_me: (0..graph.degree(v))
-                    .map(|p| orientation.head(graph.edge_at(v, Port::from(p))) == Some(v))
-                    .collect(),
-                load: orientation.load(v),
-                nbr_load: graph
-                    .neighbors(v)
-                    .iter()
-                    .map(|&u| orientation.load(NodeId(u)))
-                    .collect(),
-                announce: false,
-                id_bits: bits,
-            })
-            .collect()
+    /// The converged protocol input of node `v` under `orientation`: its
+    /// edge directions by port, its load, exact neighbor-load caches, and
+    /// nothing to announce — the state every node holds at quiescence.
+    fn input_of(graph: &CsrGraph, orientation: &Orientation, v: NodeId) -> RepairInput {
+        RepairInput {
+            toward_me: (0..graph.degree(v))
+                .map(|p| orientation.head(graph.edge_at(v, Port::from(p))) == Some(v))
+                .collect(),
+            load: orientation.load(v),
+            nbr_load: graph
+                .neighbors(v)
+                .iter()
+                .map(|&u| orientation.load(NodeId(u)))
+                .collect(),
+            announce: false,
+            id_bits: id_bits(graph.num_nodes()),
+        }
     }
 
     /// The current (maintained) orientation.
@@ -402,9 +410,27 @@ impl OrientChurnEngine {
         self.sim.graph()
     }
 
-    /// Verifies the maintained orientation is stable.
-    pub fn verify(&self) -> Result<(), crate::orientation::UnhappyEdge> {
-        self.orientation.verify_stable(self.sim.graph())
+    /// Verifies the maintained orientation is stable, and that every node
+    /// state still agrees with it (edge directions, load, neighbor-load
+    /// caches) — the O(m) check behind the per-event sync, which reads
+    /// only the stepped nodes.
+    pub fn verify(&self) -> Result<(), UnhappyEdge> {
+        let g = self.sim.graph();
+        let o = &self.orientation;
+        for (v, s) in g.nodes().zip(self.sim.states()) {
+            let mut agree = s.load == o.load(v)
+                && s.toward_me.len() == g.degree(v)
+                && s.nbr_load.len() == g.degree(v);
+            let ports = g.neighbors(v).iter().zip(&s.toward_me).zip(&s.nbr_load);
+            for (p, ((&w, &toward_me), &cached)) in ports.enumerate() {
+                let e = g.edge_at(v, Port::from(p));
+                agree &= toward_me == (o.head(e) == Some(v)) && cached == o.load(NodeId(w));
+            }
+            if !agree {
+                return Err(UnhappyEdge::StateMismatch(v));
+            }
+        }
+        o.verify_stable(g)
     }
 
     /// Wakes the heads of all currently unhappy edges (or everyone, under
@@ -466,7 +492,7 @@ impl OrientChurnEngine {
         if u == v || u.idx() >= g.num_nodes() || v.idx() >= g.num_nodes() {
             return Err(ChurnError::NoSuchEntity(format!("endpoints {u}, {v}")));
         }
-        if g.edge_between(u, v).is_some() {
+        if g.has_edge(u, v) {
             return Err(ChurnError::InvalidEvent(format!(
                 "edge {{{u}, {v}}} already exists"
             )));
@@ -477,75 +503,50 @@ impl OrientChurnEngine {
         // become unhappy.
         let (lu, lv) = (self.orientation.load(u), self.orientation.load(v));
         let head = if (lu, u.0) <= (lv, v.0) { u } else { v };
-        let n = g.num_nodes();
-        let mut edges: Vec<(u32, u32)> = g.edge_list().map(|(_, a, b)| (a.0, b.0)).collect();
-        edges.push((u.0, v.0));
-        self.rebuild(n, &edges, Some((u, v, head)), &[u, v]);
+        let e = self.sim.insert_edge(u, v).expect("checked simple edge");
+        self.orientation.insert_edge(self.sim.graph(), e, head);
+        self.reinit_patched(u, v, false);
         Ok(self.run_repair())
     }
 
     fn apply_delete(&mut self, u: NodeId, v: NodeId) -> Result<RepairStats, ChurnError> {
-        let g = self.sim.graph();
-        let Some(del) = g.edge_between(u, v) else {
+        let Some(e) = self.sim.remove_edge(u, v) else {
             return Err(ChurnError::NoSuchEntity(format!("edge {{{u}, {v}}}")));
         };
-        let n = g.num_nodes();
-        let edges: Vec<(u32, u32)> = g
-            .edge_list()
-            .filter(|&(e, _, _)| e != del)
-            .map(|(_, a, b)| (a.0, b.0))
-            .collect();
+        self.orientation.remove_edge(e);
         // The head loses one load, so edges oriented *away* from it may
         // turn unhappy: wake both endpoints and all their neighbors.
-        let mut dirty: Vec<NodeId> = vec![u, v];
-        dirty.extend(g.neighbor_ids(u));
-        dirty.extend(g.neighbor_ids(v));
-        self.rebuild(n, &edges, None, &dirty);
+        self.reinit_patched(u, v, true);
         Ok(self.run_repair())
     }
 
-    /// Rebuilds the network after a shape change, carrying the orientation
-    /// over (dropping heads of removed edges, orienting `new_edge` toward
-    /// its chosen head) and waking `dirty`.
-    fn rebuild(
-        &mut self,
-        n: usize,
-        edges: &[(u32, u32)],
-        new_edge: Option<(NodeId, NodeId, NodeId)>,
-        dirty: &[NodeId],
-    ) {
-        let mut b = GraphBuilder::with_capacity(n, edges.len());
-        for &(a, c) in edges {
-            b.add_edge(NodeId(a), NodeId(c)).expect("simple edge list");
-        }
-        let graph = b.build().expect("valid rebuilt graph");
-        let mut orientation = Orientation::unoriented(&graph);
-        for (e, a, c) in graph.edge_list() {
-            let head = if let Some((u, v, h)) = new_edge {
-                if (a == u && c == v) || (a == v && c == u) {
-                    h
-                } else {
-                    self.head_of(a, c)
+    /// After a topology patch of `{u, v}`: re-initializes `u`, `v` and all
+    /// their neighbors from the maintained orientation, then wakes `u` and
+    /// `v` (and the neighbors too if `wake_neighbors`).
+    ///
+    /// This is exact: at quiescence every node's state *is* the fresh
+    /// [`Protocol::init`] of [`OrientChurnEngine::input_of`] (no pending
+    /// announce, proposal or commit; exact caches). The patch changes the
+    /// input only of `u` and `v` (ports, and the head's load) and of the
+    /// head's neighbors (their cache of its load), so the sim ends up
+    /// bit-identical to one rebuilt from scratch over the patched graph.
+    fn reinit_patched(&mut self, u: NodeId, v: NodeId, wake_neighbors: bool) {
+        for x in [u, v] {
+            self.reinit(x);
+            for p in 0..self.sim.graph().degree(x) {
+                let w = self.sim.graph().neighbor_at(x, Port::from(p));
+                self.reinit(w);
+                if wake_neighbors {
+                    self.sim.wake(w);
                 }
-            } else {
-                self.head_of(a, c)
-            };
-            orientation.orient(&graph, e, head);
+            }
         }
-        self.orientation = orientation;
-        self.perf_retired.absorb(self.sim.exec_perf());
-        self.sim = Self::build_sim(&graph, &self.orientation);
-        if let Some(h) = self.stamp_horizon {
-            self.sim.set_stamp_horizon(h);
-        }
-        self.wake_dirty(dirty);
+        self.wake_dirty(&[u, v]);
     }
 
-    /// The head of edge `{a, c}` in the *old* orientation.
-    fn head_of(&self, a: NodeId, c: NodeId) -> NodeId {
-        let g = self.sim.graph();
-        let e = g.edge_between(a, c).expect("edge survived the rebuild");
-        self.orientation.head(e).expect("complete orientation")
+    fn reinit(&mut self, v: NodeId) {
+        let input = Self::input_of(self.sim.graph(), &self.orientation, v);
+        self.sim.reinit(v, &input);
     }
 
     fn wake_dirty(&mut self, dirty: &[NodeId]) {
@@ -573,22 +574,30 @@ impl OrientChurnEngine {
             self.sim.run(self.threads, self.max_rounds)
         };
         assert!(stats.completed, "repair hit the round cap");
-        // Re-assemble the maintained orientation from the node snapshots,
-        // checking that the two endpoints of every edge agree.
+        // Sync the maintained orientation from the nodes the repair
+        // stepped — no other state changed — checking that the two
+        // endpoints of every edge they touch agree.
         let g = self.sim.graph();
-        let mut orientation = Orientation::unoriented(g);
-        for (e, u, v) in g.edge_list() {
-            let pu = g.port_of(u, e).expect("port");
-            let pv = g.port_of(v, e).expect("port");
-            let to_u = self.sim.states()[u.idx()].toward_me[pu.idx()];
-            let to_v = self.sim.states()[v.idx()].toward_me[pv.idx()];
-            assert!(to_u != to_v, "endpoints of {e} disagree after repair");
-            orientation.orient(g, e, if to_u { u } else { v });
+        let states = self.sim.states();
+        for v in self.sim.stepped() {
+            for p in 0..g.degree(v) {
+                let port = Port::from(p);
+                let (w, q) = g.mirror(v, port);
+                let to_v = states[v.idx()].toward_me[p];
+                let to_w = states[w.idx()].toward_me[q.idx()];
+                let e = g.edge_at(v, port);
+                assert!(to_v != to_w, "endpoints of {e} disagree after repair");
+                if (self.orientation.head(e) == Some(v)) != to_v {
+                    self.orientation.flip(g, e);
+                }
+            }
         }
-        self.orientation = orientation;
         stats
     }
 }
+
+#[cfg(test)]
+mod rebuild_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -685,6 +694,15 @@ mod tests {
     }
 
     #[test]
+    fn verify_reports_a_state_that_disagrees_with_the_orientation() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let g = gnm(20, 40, &mut rng);
+        let mut eng = stable_engine(&g, 4, RepairMode::Incremental);
+        eng.sim.state_mut(NodeId(7)).load += 1;
+        assert_eq!(eng.verify(), Err(UnhappyEdge::StateMismatch(NodeId(7))));
+    }
+
+    #[test]
     fn incremental_matches_full_recompute_bit_for_bit() {
         let mut rng = SmallRng::seed_from_u64(5);
         for trial in 0..6 {
@@ -728,6 +746,27 @@ mod tests {
             }),
             Err(ChurnError::NoSuchEntity(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_node_ids_are_no_such_entity() {
+        let g = cycle(6);
+        let mut eng = stable_engine(&g, 1, RepairMode::Incremental);
+        for (u, v) in [(0, 6), (9, 1), (u32::MAX, 2)] {
+            let (u, v) = (NodeId(u), NodeId(v));
+            for ev in [
+                ChurnEvent::EdgeFlip { u, v },
+                ChurnEvent::EdgeDelete { u, v },
+                ChurnEvent::EdgeInsert { u, v },
+            ] {
+                assert!(
+                    matches!(eng.apply(&ev), Err(ChurnError::NoSuchEntity(_))),
+                    "{ev:?}"
+                );
+            }
+        }
+        eng.verify().unwrap();
+        assert_eq!(eng.graph().num_edges(), 6);
     }
 
     #[test]
