@@ -43,9 +43,9 @@ use crate::assignment::{Assignment, Instability};
 use crate::instance::AssignmentInstance;
 use td_graph::{GraphBuilder, NodeId, Port};
 use td_local::churn::{
-    id_bits, split_role, ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats,
+    id_bits, split_role, ChurnError, ChurnEvent, ChurnSim, RepairEngine, RepairMode, RepairStats,
 };
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
+use td_local::{ExecPerf, Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 
 /// Rounds per request/grant/propose/accept/commit/depart cycle.
 const PHASES: u32 = 6;
@@ -820,6 +820,63 @@ impl AssignChurnEngine {
             }
         }
         a.verify_stable(&inst)
+    }
+}
+
+impl RepairEngine for AssignChurnEngine {
+    fn stabilize(&mut self) -> RepairStats {
+        AssignChurnEngine::stabilize(self)
+    }
+
+    fn apply(&mut self, event: &ChurnEvent) -> Result<RepairStats, ChurnError> {
+        AssignChurnEngine::apply(self, event)
+    }
+
+    fn verify(&self) -> Result<(), String> {
+        AssignChurnEngine::verify(self).map_err(|e| format!("{e:?}"))
+    }
+
+    fn exec_perf(&self) -> ExecPerf {
+        AssignChurnEngine::exec_perf(self)
+    }
+
+    fn solution_words(&self) -> Vec<u64> {
+        self.assigned
+            .iter()
+            .map(|a| a.map_or(0, |s| s as u64 + 1))
+            .collect()
+    }
+
+    fn max_load(&self) -> u32 {
+        self.server_loads().into_iter().max().unwrap_or(0)
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.alive.len() + self.num_servers()
+    }
+
+    fn live_nodes(&self) -> usize {
+        self.alive.len()
+    }
+
+    /// Candidate adjacencies of the effective instance: alive customers to
+    /// available servers.
+    fn num_edges(&self) -> usize {
+        self.alive
+            .iter()
+            .flat_map(|&c| self.customers[c as usize].as_deref().unwrap_or(&[]))
+            .filter(|&&s| self.available[s as usize])
+            .count()
+    }
+
+    /// Stabilizes a full-recompute twin over the effective instance, all
+    /// customers unassigned.
+    fn recompute(&self) -> RepairStats {
+        let (inst, _, _) = self.effective_instance();
+        AssignChurnEngine::new(&inst, RepairMode::FullRecompute)
+            .with_threads(self.threads)
+            .with_shards(self.shards)
+            .stabilize()
     }
 }
 

@@ -18,7 +18,9 @@
 use crate::instance::{fingerprint_of, max_edge_gap_of, potential_of, total_of, BalanceInstance};
 use crate::node::{BalanceInput, BalanceNode, Rule, PHASES};
 use td_graph::{CsrGraph, GraphBuilder, NodeId};
-use td_local::churn::{id_bits, ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats};
+use td_local::churn::{
+    id_bits, ChurnError, ChurnEvent, ChurnSim, RepairEngine, RepairMode, RepairStats,
+};
 
 /// A live balancing instance under churn: applies [`ChurnEvent`]s and
 /// re-balances incrementally (or via the full-recompute fallback).
@@ -376,6 +378,49 @@ impl BalanceEngine {
             }
         }
         Ok(())
+    }
+}
+
+impl RepairEngine for BalanceEngine {
+    fn stabilize(&mut self) -> RepairStats {
+        BalanceEngine::stabilize(self)
+    }
+
+    fn apply(&mut self, event: &ChurnEvent) -> Result<RepairStats, ChurnError> {
+        BalanceEngine::apply(self, event)
+    }
+
+    fn verify(&self) -> Result<(), String> {
+        BalanceEngine::verify(self)
+    }
+
+    fn exec_perf(&self) -> td_local::ExecPerf {
+        BalanceEngine::exec_perf(self)
+    }
+
+    fn solution_words(&self) -> Vec<u64> {
+        self.loads.iter().map(|&l| l as u64).collect()
+    }
+
+    fn max_load(&self) -> u32 {
+        self.loads.iter().copied().max().unwrap_or(0)
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.loads.len()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.sim.graph().num_edges()
+    }
+
+    /// Stabilizes a full-recompute twin over the current graph and loads.
+    fn recompute(&self) -> RepairStats {
+        let inst = BalanceInstance::new(self.sim.graph().clone(), self.loads.clone());
+        BalanceEngine::new(&inst, self.rule, self.seed, RepairMode::FullRecompute)
+            .with_threads(self.threads)
+            .with_shards(self.shards)
+            .stabilize()
     }
 }
 

@@ -102,12 +102,7 @@ pub fn max_edge_gap_of(graph: &CsrGraph, load: &[u32]) -> u32 {
 /// FNV-1a fingerprint of a load vector — the cross-executor bit-identity
 /// check of the compare report and the CI smoke step.
 pub fn fingerprint_of(load: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &l in load {
-        h ^= l as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    td_local::fnv1a_words(load.iter().map(|&l| l as u64))
 }
 
 #[cfg(test)]

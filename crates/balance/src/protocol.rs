@@ -1,20 +1,20 @@
 //! The common protocol trait the competing balancers sit behind.
 //!
 //! [`BalancingProtocol`] captures what the comparison harness needs from
-//! any balancer: build an engine over an instance (**init**), run the
-//! per-node step function over the message plane to quiescence and through
-//! a churn script (**step/run**), and audit the result (**verify**,
-//! including the per-round potential accounting the engine keeps). The
-//! existing token-dropping dynamics implement it unchanged —
-//! [`TokenDropBalancer`] is a zero-size wrapper over the same engine and
-//! node program the stack already runs — and the rivals
-//! ([`RotorRouterBalancer`], [`MatchingBalancer`]) differ only in their
-//! [`Rule`].
+//! any balancer: its name and its transfer [`Rule`]. [`BalancingProtocol::run`]
+//! hosts the rule on a [`BalanceEngine`] and drives it through a churn
+//! script with the shared engine loop ([`td_local::drive`]), which verifies
+//! the balanced state, token conservation and the potential ledger after
+//! the stabilization and after every event. The existing token-dropping
+//! dynamics implement it unchanged — [`TokenDropBalancer`] is a zero-size
+//! wrapper over the same engine and node program the stack already runs —
+//! and the rivals ([`RotorRouterBalancer`], [`MatchingBalancer`]) differ
+//! only in their [`Rule`].
 
 use crate::engine::BalanceEngine;
 use crate::instance::BalanceInstance;
 use crate::node::Rule;
-use td_local::churn::{ChurnEvent, RepairMode, RepairStats};
+use td_local::churn::{drive_trace, ChurnEvent, RepairMode};
 
 /// One executor configuration of the comparison grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,9 +62,8 @@ pub struct BalanceRun {
     pub fingerprint: u64,
 }
 
-/// A balancer the comparison harness can run: init, step over the message
-/// plane, terminate, verify — with per-round potential accounting kept by
-/// the shared engine.
+/// A balancer the comparison harness can run: one transfer rule on the
+/// shared engine, with per-round potential accounting kept by the engine.
 pub trait BalancingProtocol: Sync {
     /// Stable protocol name (CLI flag value, report row label).
     fn name(&self) -> &'static str;
@@ -72,30 +71,10 @@ pub trait BalancingProtocol: Sync {
     /// The transfer rule the shared node program runs for this protocol.
     fn rule(&self) -> Rule;
 
-    /// **Init hook**: builds the engine hosting this protocol's per-node
-    /// step function on the wake-based executor.
-    fn init(
-        &self,
-        inst: &BalanceInstance,
-        seed: u64,
-        exec: ExecPoint,
-        mode: RepairMode,
-    ) -> BalanceEngine {
-        BalanceEngine::new(inst, self.rule(), seed, mode)
-            .with_threads(exec.threads)
-            .with_shards(exec.shards)
-    }
-
-    /// **Verification hook**: audits a quiesced engine — balanced, token
-    /// conservation, potential accounting, cache exactness.
-    fn verify(&self, engine: &BalanceEngine) -> Result<(), String> {
-        engine.verify()
-    }
-
     /// Runs the protocol to quiescence on `inst`, then applies `events`
-    /// (each followed by incremental repair), then verifies. The default
-    /// implementation is shared by all entrants; a run is a pure function
-    /// of `(inst, seed, events)` — the executor point never changes it.
+    /// (each followed by incremental repair), verifying after the
+    /// stabilization and after every event. A run is a pure function of
+    /// `(inst, seed, events)` — the executor point never changes it.
     fn run(
         &self,
         inst: &BalanceInstance,
@@ -103,28 +82,20 @@ pub trait BalancingProtocol: Sync {
         exec: ExecPoint,
         events: &[ChurnEvent],
     ) -> Result<BalanceRun, String> {
-        let initial_discrepancy = inst.discrepancy();
-        let mut engine = self.init(inst, seed, exec, RepairMode::Incremental);
-        let mut stats = RepairStats::accumulator();
-        stats.absorb(engine.stabilize());
-        let mut events_applied = 0;
-        for ev in events {
-            let s = engine
-                .apply(ev)
-                .map_err(|e| format!("{}: event {ev:?}: {e}", self.name()))?;
-            stats.absorb(s);
-            events_applied += 1;
-        }
-        self.verify(&engine)
-            .map_err(|e| format!("{} failed verification: {e}", self.name()))?;
+        let mut engine = BalanceEngine::new(inst, self.rule(), seed, RepairMode::Incremental)
+            .with_threads(exec.threads)
+            .with_shards(exec.shards);
+        let trace =
+            drive_trace(&mut engine, events).map_err(|e| format!("{}: {e}", self.name()))?;
+        let stats = trace.total();
         Ok(BalanceRun {
             loads: engine.loads().to_vec(),
             rounds: stats.rounds as u64,
             messages: stats.messages,
             node_steps: stats.node_steps,
             moves: engine.moves(),
-            events_applied,
-            initial_discrepancy,
+            events_applied: trace.applied,
+            initial_discrepancy: inst.discrepancy(),
             discrepancy: engine.discrepancy(),
             max_gap: crate::instance::max_edge_gap_of(engine.graph(), engine.loads()),
             fingerprint: engine.fingerprint(),

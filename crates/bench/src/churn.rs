@@ -2,9 +2,10 @@
 //! incremental repair engines, behind one interface — the online regime the
 //! one-shot [`crate::scenario`] registry cannot express.
 //!
-//! A [`ChurnScenario`] builds a live instance, stabilizes it, then streams
-//! a deterministic, seeded [`ChurnEvent`] trace through the family's churn
-//! engine, verifying stability after *every* event. Each run reports the
+//! A [`ChurnScenario`] builds a live instance and its churn engine, then
+//! runs it through the shared engine loop ([`td_local::drive`]): stabilize,
+//! then stream a deterministic, seeded [`ChurnEvent`] trace, verifying
+//! stability after *every* event. Each run reports the
 //! accumulated repair cost ([`RepairStats`]) and, optionally, the cost of
 //! recomputing from scratch after each event with the same protocol
 //! dynamics (a fresh engine started from an arbitrary solution with every
@@ -24,6 +25,8 @@
 //! * **`rolling-restart`** — servers drain and rejoin round-robin, the
 //!   canonical deploy pattern; every drain evicts the server's customers
 //!   through the unassigned path of the repair protocol; `size` = servers.
+//! * **`small-world-flux`** — the `small-world` workload family's mixed
+//!   flip/insert/delete trace; `size` = nodes.
 
 use crate::scenario::ScenarioKind;
 use rand::rngs::SmallRng;
@@ -32,7 +35,7 @@ use std::time::{Duration, Instant};
 use td_assign::repair::AssignChurnEngine;
 use td_assign::AssignmentInstance;
 use td_graph::{EdgeId, NodeId};
-use td_local::churn::{ChurnEvent, RepairMode, RepairStats};
+use td_local::churn::{drive, ChurnEvent, RepairEngine, RepairMode, RepairStats};
 use td_orient::repair::OrientChurnEngine;
 use td_orient::Orientation;
 
@@ -56,12 +59,12 @@ pub struct ChurnReport {
     /// Accumulated from-scratch recompute cost (one fresh all-dirty
     /// stabilization per event), if measured.
     pub recompute: Option<RepairStats>,
-    /// Solution fingerprint after the trace (orientation: head per edge in
-    /// canonical endpoint order, see [`Orientation::canonical_heads`];
-    /// assignment: server+1 per external customer, 0 = unassigned) — the
-    /// quantity the differential tests compare bit-for-bit.
-    pub fingerprint: Vec<u32>,
-    /// Wall-clock of the trace (repairs + verification).
+    /// The solution after the trace ([`RepairEngine::solution_words`]:
+    /// orientation heads in canonical endpoint order, or server+1 per
+    /// external customer, 0 = unassigned) — the quantity the differential
+    /// tests compare bit-for-bit.
+    pub fingerprint: Vec<u64>,
+    /// Wall-clock of the trace (stabilization, repairs, verification).
     pub wall: Duration,
     /// Scenario-specific extras.
     pub notes: Vec<(&'static str, String)>,
@@ -88,7 +91,9 @@ pub trait ChurnScenario: Sync {
     fn default_events(&self) -> u32;
     /// Runs the trace. `mode` selects incremental repair or the
     /// full-recompute fallback; `with_recompute` additionally measures a
-    /// from-scratch stabilization after every event.
+    /// from-scratch stabilization after every event. `Err` if the knobs
+    /// describe no valid instance. Trace events are valid by construction,
+    /// so a failed repair or verification is a bug and panics.
     fn run(
         &self,
         size: u32,
@@ -97,7 +102,42 @@ pub trait ChurnScenario: Sync {
         threads: usize,
         mode: RepairMode,
         with_recompute: bool,
-    ) -> ChurnReport;
+    ) -> Result<ChurnReport, String>;
+}
+
+/// The run every scenario shares: drives `eng` through the events `next`
+/// yields with the shared engine loop, measures the from-scratch recompute
+/// after every event if asked, and reports the final instance.
+fn run_engine<E: RepairEngine + ?Sized>(
+    scenario: &'static str,
+    size: u32,
+    seed: u64,
+    with_recompute: bool,
+    eng: &mut E,
+    next: impl FnMut(&E) -> Option<ChurnEvent>,
+) -> ChurnReport {
+    let t0 = Instant::now();
+    let mut recompute = with_recompute.then(RepairStats::accumulator);
+    let stats = drive(eng, next, |e| {
+        if let Some(acc) = recompute.as_mut() {
+            acc.absorb(e.recompute());
+        }
+    })
+    .unwrap_or_else(|e| panic!("{scenario}: {e}"));
+    ChurnReport {
+        scenario,
+        size,
+        seed,
+        events: stats.applied,
+        nodes: eng.num_nodes(),
+        edges: eng.num_edges(),
+        repair: stats.events,
+        recompute,
+        fingerprint: eng.solution_words(),
+        wall: t0.elapsed(),
+        notes: Vec::new(),
+    }
+    .note("max load", eng.max_load())
 }
 
 // ------------------------------------------------------------ edge-flip ---
@@ -108,14 +148,14 @@ struct EdgeFlipChurn;
 impl EdgeFlipChurn {
     const DEGREE: usize = 4;
 
-    fn graph(size: u32, seed: u64) -> td_graph::CsrGraph {
+    fn graph(size: u32, seed: u64) -> Result<td_graph::CsrGraph, String> {
         let mut n = (size as usize).max(Self::DEGREE + 2);
         if Self::DEGREE % 2 == 1 && n % 2 == 1 {
             n += 1; // the configuration model needs even n·Δ
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         td_graph::gen::random::random_regular(n, Self::DEGREE, &mut rng, 500)
-            .expect("configuration model converges")
+            .ok_or_else(|| format!("edge-flip: no {}-regular graph on {n} nodes", Self::DEGREE))
     }
 }
 
@@ -143,81 +183,35 @@ impl ChurnScenario for EdgeFlipChurn {
         threads: usize,
         mode: RepairMode,
         with_recompute: bool,
-    ) -> ChurnReport {
-        let g = Self::graph(size, seed);
-        let t0 = Instant::now();
-        let mut eng = OrientChurnEngine::new(g.clone(), Orientation::toward_larger(&g), mode)
-            .with_threads(threads);
-        eng.stabilize();
-        eng.verify().expect("initial stabilization");
-        let mut repair = RepairStats::accumulator();
-        let mut recompute = with_recompute.then(RepairStats::accumulator);
+    ) -> Result<ChurnReport, String> {
+        let g = Self::graph(size, seed)?;
+        let o = Orientation::toward_larger(&g);
+        let mut eng = OrientChurnEngine::new(g, o, mode).with_threads(threads);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_c4a0);
-        for _ in 0..events {
-            // Adversarial pick: among a handful of sampled edges, flip the
-            // one whose *tail* is most loaded — reversing it dumps the edge
-            // onto an already-busy node, maximizing the unhappiness one
-            // update can create.
-            let (u, v) = {
-                let g = eng.graph();
-                let o = eng.orientation();
-                let mut best: Option<(u32, NodeId, NodeId)> = None;
-                for _ in 0..4 {
-                    let e = EdgeId(rng.gen_range(0..g.num_edges() as u32));
-                    let (a, b) = g.endpoints(e);
-                    let head = o.head(e).expect("complete");
-                    let tail = if head == a { b } else { a };
-                    let damage = o.load(tail);
-                    if best.is_none_or(|(d, _, _)| damage > d) {
-                        best = Some((damage, a, b));
-                    }
+        let mut left = events;
+        // Adversarial pick: among a handful of sampled edges, flip the one
+        // whose *tail* is most loaded — reversing it dumps the edge onto an
+        // already-busy node, maximizing the unhappiness one update creates.
+        let next = |eng: &OrientChurnEngine| {
+            left = left.checked_sub(1)?;
+            let (g, o) = (eng.graph(), eng.orientation());
+            let mut best: Option<(u32, NodeId, NodeId)> = None;
+            for _ in 0..4 {
+                let e = EdgeId(rng.gen_range(0..g.num_edges() as u32));
+                let (a, b) = g.endpoints(e);
+                let head = o.head(e).expect("complete");
+                let damage = o.load(if head == a { b } else { a });
+                if best.is_none_or(|(d, _, _)| damage > d) {
+                    best = Some((damage, a, b));
                 }
-                let (_, a, b) = best.expect("sampled");
-                (a, b)
-            };
-            let stats = eng
-                .apply(&ChurnEvent::EdgeFlip { u, v })
-                .expect("trace events are valid");
-            eng.verify().expect("stable after repair");
-            repair.absorb(stats);
-            if let Some(acc) = recompute.as_mut() {
-                let mut fresh = OrientChurnEngine::new(
-                    eng.graph().clone(),
-                    Orientation::toward_larger(eng.graph()),
-                    RepairMode::FullRecompute,
-                )
-                .with_threads(threads);
-                acc.absorb(fresh.stabilize());
             }
-        }
-        let wall = t0.elapsed();
-        let fingerprint: Vec<u32> = eng
-            .orientation()
-            .canonical_heads(eng.graph())
-            .map(|h| h.0)
-            .collect();
-        let max_load = eng
-            .graph()
-            .nodes()
-            .map(|v| eng.orientation().load(v))
-            .max()
-            .unwrap_or(0);
-        ChurnReport {
-            scenario: self.name(),
-            size,
-            seed,
-            events,
-            nodes: eng.graph().num_nodes(),
-            edges: eng.graph().num_edges(),
-            repair,
-            recompute,
-            fingerprint,
-            wall,
-            notes: Vec::new(),
-        }
-        .note("Δ", Self::DEGREE)
-        .note("max load", max_load)
-        .note("potential Σ load²", eng.orientation().potential())
+            let (_, u, v) = best.expect("sampled");
+            Some(ChurnEvent::EdgeFlip { u, v })
+        };
+        let rep = run_engine(self.name(), size, seed, with_recompute, &mut eng, next);
+        Ok(rep
+            .note("Δ", Self::DEGREE)
+            .note("potential Σ load²", eng.orientation().potential()))
     }
 }
 
@@ -267,6 +261,12 @@ impl ZipfRanks {
     }
 }
 
+/// Notes both assignment scenarios report.
+fn assign_notes(rep: ChurnReport, eng: &AssignChurnEngine) -> ChurnReport {
+    rep.note("customers", eng.num_alive())
+        .note("cost Σ load²⁺", eng.cost())
+}
+
 impl ChurnScenario for FlashCrowdChurn {
     fn name(&self) -> &'static str {
         "flash-crowd"
@@ -291,20 +291,19 @@ impl ChurnScenario for FlashCrowdChurn {
         threads: usize,
         mode: RepairMode,
         with_recompute: bool,
-    ) -> ChurnReport {
+    ) -> Result<ChurnReport, String> {
         let ns = (size as usize).max(2);
         let mut rng = SmallRng::seed_from_u64(seed);
         let base = AssignmentInstance::random(2 * ns, ns, 1..=3.min(ns), &mut rng);
-        let t0 = Instant::now();
         let mut eng = AssignChurnEngine::new(&base, mode).with_threads(threads);
-        eng.stabilize();
-        eng.verify().expect("initial stabilization");
-        let mut repair = RepairStats::accumulator();
-        let mut recompute = with_recompute.then(RepairStats::accumulator);
         let ranks = ZipfRanks::new(ns);
         let mut alive: Vec<u32> = (0..2 * ns as u32).collect();
         let mut next_id = 2 * ns as u32;
-        for i in 0..events {
+        let mut i = 0;
+        let next = |_: &AssignChurnEngine| {
+            if i == events {
+                return None;
+            }
             // The hotspot drifts one server every four events.
             let hot = (i as usize / 4) % ns;
             let ev = if i % 4 == 3 && alive.len() > ns {
@@ -317,43 +316,11 @@ impl ChurnScenario for FlashCrowdChurn {
                     servers: ranks.join_list(hot, &mut rng),
                 }
             };
-            let stats = eng.apply(&ev).expect("trace events are valid");
-            eng.verify().expect("stable after repair");
-            repair.absorb(stats);
-            if let Some(acc) = recompute.as_mut() {
-                let (inst, _, _) = eng.effective_instance();
-                let mut fresh =
-                    AssignChurnEngine::new(&inst, RepairMode::FullRecompute).with_threads(threads);
-                acc.absorb(fresh.stabilize());
-            }
-        }
-        let wall = t0.elapsed();
-        let fingerprint: Vec<u32> = eng
-            .assignment_vector()
-            .iter()
-            .map(|a| a.map_or(0, |s| s + 1))
-            .collect();
-        let loads = eng.server_loads();
-        let (inst, _, _) = eng.effective_instance();
-        let edges = (0..inst.num_customers())
-            .map(|c| inst.servers_of(c).len())
-            .sum();
-        ChurnReport {
-            scenario: self.name(),
-            size,
-            seed,
-            events,
-            nodes: eng.num_alive() + ns,
-            edges,
-            repair,
-            recompute,
-            fingerprint,
-            wall,
-            notes: Vec::new(),
-        }
-        .note("customers (final)", eng.num_alive())
-        .note("cost Σ load²⁺", eng.cost())
-        .note("max load", loads.iter().max().copied().unwrap_or(0))
+            i += 1;
+            Some(ev)
+        };
+        let rep = run_engine(self.name(), size, seed, with_recompute, &mut eng, next);
+        Ok(assign_notes(rep, &eng))
     }
 }
 
@@ -386,67 +353,24 @@ impl ChurnScenario for RollingRestartChurn {
         threads: usize,
         mode: RepairMode,
         with_recompute: bool,
-    ) -> ChurnReport {
+    ) -> Result<ChurnReport, String> {
         let ns = (size as usize).max(2);
         let mut rng = SmallRng::seed_from_u64(seed);
         // Degree ≥ 2 so drained customers always have an alternative.
         let base = AssignmentInstance::random(3 * ns, ns, 2.min(ns)..=3.min(ns), &mut rng);
-        let t0 = Instant::now();
         let mut eng = AssignChurnEngine::new(&base, mode).with_threads(threads);
-        eng.stabilize();
-        eng.verify().expect("initial stabilization");
-        let mut repair = RepairStats::accumulator();
-        let mut recompute = with_recompute.then(RepairStats::accumulator);
-        for i in 0..events {
-            let server = ((i / 2) as usize % ns) as u32;
-            let ev = if i % 2 == 0 {
-                ChurnEvent::ServerCapacity {
-                    server,
-                    capacity: 0,
-                }
-            } else {
-                ChurnEvent::ServerCapacity {
-                    server,
-                    capacity: 1,
-                }
-            };
-            let stats = eng.apply(&ev).expect("trace events are valid");
-            eng.verify().expect("stable after repair");
-            repair.absorb(stats);
-            if let Some(acc) = recompute.as_mut() {
-                let (inst, _, _) = eng.effective_instance();
-                let mut fresh =
-                    AssignChurnEngine::new(&inst, RepairMode::FullRecompute).with_threads(threads);
-                acc.absorb(fresh.stabilize());
-            }
-        }
-        let wall = t0.elapsed();
-        let fingerprint: Vec<u32> = eng
-            .assignment_vector()
-            .iter()
-            .map(|a| a.map_or(0, |s| s + 1))
-            .collect();
-        let loads = eng.server_loads();
-        let (inst, _, _) = eng.effective_instance();
-        let edges = (0..inst.num_customers())
-            .map(|c| inst.servers_of(c).len())
-            .sum();
-        ChurnReport {
-            scenario: self.name(),
-            size,
-            seed,
-            events,
-            nodes: eng.num_alive() + ns,
-            edges,
-            repair,
-            recompute,
-            fingerprint,
-            wall,
-            notes: Vec::new(),
-        }
-        .note("customers", eng.num_alive())
-        .note("cost Σ load²⁺", eng.cost())
-        .note("max load", loads.iter().max().copied().unwrap_or(0))
+        // Even events drain server ⌊i/2⌋ mod ns, odd events bring it back.
+        let mut i = 0;
+        let next = |_: &AssignChurnEngine| {
+            (i < events).then(|| {
+                let server = ((i / 2) as usize % ns) as u32;
+                let capacity = i % 2;
+                i += 1;
+                ChurnEvent::ServerCapacity { server, capacity }
+            })
+        };
+        let rep = run_engine(self.name(), size, seed, with_recompute, &mut eng, next);
+        Ok(assign_notes(rep, &eng))
     }
 }
 
@@ -482,67 +406,25 @@ impl ChurnScenario for SmallWorldFlux {
         threads: usize,
         mode: RepairMode,
         with_recompute: bool,
-    ) -> ChurnReport {
-        let spec = crate::spec::WorkloadSpec::new("small-world")
-            .expect("registered family")
+    ) -> Result<ChurnReport, String> {
+        let spec = crate::spec::WorkloadSpec::new("small-world")?
             .with_size(size)
             .with_seed(seed)
             .with_param("events", events);
-        let built = spec.build().expect("default small-world spec is valid");
-        let crate::spec::WorkloadInstance::OrientChurn { graph: g, trace } = built else {
-            unreachable!("small-world builds an orientation churn instance");
-        };
-        let t0 = Instant::now();
-        let mut eng = OrientChurnEngine::new(g.clone(), Orientation::toward_larger(&g), mode)
-            .with_threads(threads);
-        eng.stabilize();
-        eng.verify().expect("initial stabilization");
-        let mut repair = RepairStats::accumulator();
-        let mut recompute = with_recompute.then(RepairStats::accumulator);
-        let mut applied = 0u32;
-        for ev in &trace {
-            let stats = eng.apply(ev).expect("trace events are valid");
-            eng.verify().expect("stable after repair");
-            repair.absorb(stats);
-            applied += 1;
-            if let Some(acc) = recompute.as_mut() {
-                let mut fresh = OrientChurnEngine::new(
-                    eng.graph().clone(),
-                    Orientation::toward_larger(eng.graph()),
-                    RepairMode::FullRecompute,
-                )
-                .with_threads(threads);
-                acc.absorb(fresh.stabilize());
-            }
-        }
-        let wall = t0.elapsed();
-        let fingerprint: Vec<u32> = eng
-            .orientation()
-            .canonical_heads(eng.graph())
-            .map(|h| h.0)
-            .collect();
-        let max_load = eng
-            .graph()
-            .nodes()
-            .map(|v| eng.orientation().load(v))
-            .max()
-            .unwrap_or(0);
-        ChurnReport {
-            scenario: self.name(),
+        let (mut eng, trace) = spec
+            .build()?
+            .into_engine(mode, threads, 1, None)
+            .ok_or("small-world builds a churn instance")?;
+        let mut trace = trace.into_iter();
+        let rep = run_engine(
+            self.name(),
             size,
             seed,
-            events: applied,
-            nodes: eng.graph().num_nodes(),
-            edges: eng.graph().num_edges(),
-            repair,
-            recompute,
-            fingerprint,
-            wall,
-            notes: Vec::new(),
-        }
-        .note("spec", spec)
-        .note("max load", max_load)
-        .note("potential Σ load²", eng.orientation().potential())
+            with_recompute,
+            eng.as_mut(),
+            |_| trace.next(),
+        );
+        Ok(rep.note("spec", spec))
     }
 }
 
@@ -605,7 +487,9 @@ mod tests {
                 ScenarioKind::Orientation => 64,
                 _ => 6,
             };
-            let rep = s.run(size, 6, 42, 1, RepairMode::Incremental, true);
+            let rep = s
+                .run(size, 6, 42, 1, RepairMode::Incremental, true)
+                .unwrap();
             assert_eq!(rep.scenario, s.name());
             assert_eq!(rep.events, 6);
             assert!(rep.repair.completed, "{}", s.name());
@@ -627,15 +511,16 @@ mod tests {
                 ScenarioKind::Orientation => 24,
                 _ => 5,
             };
-            let a = s.run(size, 5, 7, 1, RepairMode::Incremental, false);
-            let b = s.run(size, 5, 7, 1, RepairMode::Incremental, false);
+            let run = |mode| s.run(size, 5, 7, 1, mode, false).unwrap();
+            let a = run(RepairMode::Incremental);
+            let b = run(RepairMode::Incremental);
             assert_eq!(
                 a.fingerprint,
                 b.fingerprint,
                 "{} not deterministic",
                 s.name()
             );
-            let c = s.run(size, 5, 7, 1, RepairMode::FullRecompute, false);
+            let c = run(RepairMode::FullRecompute);
             assert_eq!(
                 a.fingerprint,
                 c.fingerprint,

@@ -762,7 +762,7 @@ fn e15_units(cfg: &ExpConfig) -> Result<Vec<ExpUnit>, String> {
                 "repair(1)+recompute",
                 1,
                 move || {
-                    let rep = sc.run(size, events, seed, 1, RepairMode::Incremental, true);
+                    let rep = sc.run(size, events, seed, 1, RepairMode::Incremental, true)?;
                     if !rep.repair.completed {
                         return Err("repair hit the round cap".into());
                     }

@@ -29,16 +29,13 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use td_assign::protocol::run_distributed_assignment;
-use td_assign::repair::AssignChurnEngine;
 use td_assign::AssignmentInstance;
 use td_balance::{total_of, BalanceInstance, ExecPoint};
 use td_core::{proposal, TokenGame};
 use td_graph::{CsrGraph, NodeId};
-use td_local::churn::{ChurnEvent, RepairMode, RepairStats};
+use td_local::churn::{drive_trace, ChurnEvent, RepairMode, RepairStats};
 use td_local::Simulator;
 use td_orient::protocol::run_distributed;
-use td_orient::repair::OrientChurnEngine;
-use td_orient::Orientation;
 
 /// What one clean fuzz check measured (the sequential run's numbers).
 #[derive(Clone, Debug)]
@@ -586,37 +583,51 @@ fn check_assignment(
 
 // ------------------------------------------------------------ churn traces ---
 
-/// Runs a full orientation churn trace: stabilize, then apply every event,
-/// verifying stability after each. Returns accumulated stats plus the final
-/// solution fingerprint (head id per edge, in edge order).
-pub(crate) fn orient_trace_run(
-    graph: &CsrGraph,
-    trace: &[ChurnEvent],
+/// Replays a churn instance's trace on a fresh engine (stabilize, then
+/// apply and verify every event). Returns the accumulated cost and the
+/// final solution words.
+fn trace_run(
+    inst: &WorkloadInstance,
     mode: RepairMode,
     threads: usize,
     shards: usize,
-) -> Result<(RepairStats, Vec<u32>), String> {
-    let mut eng = OrientChurnEngine::new(graph.clone(), Orientation::toward_larger(graph), mode)
-        .with_threads(threads)
-        .with_shards(shards);
-    let mut total = RepairStats::accumulator();
-    total.absorb(eng.stabilize());
-    eng.verify()
-        .map_err(|e| format!("initial stabilization: {e:?}"))?;
-    for (i, ev) in trace.iter().enumerate() {
-        total.absorb(
-            eng.apply(ev)
-                .map_err(|e| format!("event {i} {ev:?}: {e}"))?,
-        );
-        eng.verify()
-            .map_err(|e| format!("after event {i}: {e:?}"))?;
+) -> Result<(RepairStats, Vec<u64>), String> {
+    let (mut eng, trace) = inst
+        .clone()
+        .into_engine(mode, threads, shards, None)
+        .ok_or("not a churn instance")?;
+    let stats = drive_trace(eng.as_mut(), &trace)?;
+    Ok((stats.total(), eng.solution_words()))
+}
+
+/// The churn differential both families share: incremental repair vs full
+/// recompute, the thread × shard grid, and the relabeled `twin`, whose
+/// solution must keep its length. Returns the reference run's cost.
+fn churn_differential(
+    inst: &WorkloadInstance,
+    twin: &WorkloadInstance,
+) -> Result<RepairStats, String> {
+    let (base_stats, base_fp) = trace_run(inst, RepairMode::Incremental, 1, 1)?;
+    let (rec_stats, rec_fp) = trace_run(inst, RepairMode::FullRecompute, 1, 1)?;
+    if rec_fp != base_fp {
+        return Err("full recompute diverges from incremental repair".into());
     }
-    let fp: Vec<u32> = eng
-        .orientation()
-        .canonical_heads(eng.graph())
-        .map(|h| h.0)
-        .collect();
-    Ok((total, fp))
+    compare_counts(
+        "full recompute",
+        (rec_stats.rounds as u64, rec_stats.messages),
+        (base_stats.rounds as u64, base_stats.messages),
+    )?;
+    for (threads, shards) in [(2, 1), (2, 2)] {
+        let (stats, fp) = trace_run(inst, RepairMode::Incremental, threads, shards)?;
+        if fp != base_fp || stats != base_stats {
+            return Err(format!("threads {threads} x shards {shards} diverges"));
+        }
+    }
+    let (_, rfp) = trace_run(twin, RepairMode::Incremental, 1, 1)?;
+    if rfp.len() != base_fp.len() {
+        return Err("relabeled trace changed the solution length".into());
+    }
+    Ok(base_stats)
 }
 
 fn check_orient_churn(
@@ -656,88 +667,21 @@ fn check_orient_churn(
         _ => {}
     }
 
-    let (base_stats, base_fp) = orient_trace_run(&graph, &trace, RepairMode::Incremental, 1, 1)?;
-    let (rec_stats, rec_fp) = orient_trace_run(&graph, &trace, RepairMode::FullRecompute, 1, 1)?;
-    if rec_fp != base_fp {
-        return Err("full recompute diverges from incremental repair".into());
-    }
-    compare_counts(
-        "full recompute",
-        (rec_stats.rounds as u64, rec_stats.messages),
-        (base_stats.rounds as u64, base_stats.messages),
-    )?;
-    for (threads, shards) in [(2, 1), (2, 2)] {
-        let (stats, fp) =
-            orient_trace_run(&graph, &trace, RepairMode::Incremental, threads, shards)?;
-        if fp != base_fp || stats != base_stats {
-            return Err(format!("threads {threads} x shards {shards} diverges"));
-        }
-    }
-
     // Metamorphic relabeling: permute node ids in the graph *and* the trace.
     let perm = permutation(n, spec.seed);
-    let rg = relabel_graph(&graph, &perm);
-    let rtrace: Vec<ChurnEvent> = trace
-        .iter()
-        .map(|ev| match *ev {
-            ChurnEvent::EdgeFlip { u, v } => ChurnEvent::EdgeFlip {
-                u: NodeId(perm[u.idx()]),
-                v: NodeId(perm[v.idx()]),
-            },
-            ChurnEvent::EdgeInsert { u, v } => ChurnEvent::EdgeInsert {
-                u: NodeId(perm[u.idx()]),
-                v: NodeId(perm[v.idx()]),
-            },
-            ChurnEvent::EdgeDelete { u, v } => ChurnEvent::EdgeDelete {
-                u: NodeId(perm[u.idx()]),
-                v: NodeId(perm[v.idx()]),
-            },
-            ref other => other.clone(),
-        })
-        .collect();
-    let (_, rfp) = orient_trace_run(&rg, &rtrace, RepairMode::Incremental, 1, 1)?;
-    if rfp.len() != base_fp.len() {
-        return Err("relabeled trace changed the final edge count".into());
-    }
-
+    let twin = WorkloadInstance::OrientChurn {
+        graph: relabel_graph(&graph, &perm),
+        trace: trace.iter().map(|ev| relabel_event(ev, &perm)).collect(),
+    };
+    let edges = graph.num_edges();
+    let stats = churn_differential(&WorkloadInstance::OrientChurn { graph, trace }, &twin)?;
     Ok(FuzzReport {
         nodes: n,
-        edges: graph.num_edges(),
-        rounds: base_stats.rounds as u64,
-        messages: base_stats.messages,
+        edges,
+        rounds: stats.rounds as u64,
+        messages: stats.messages,
         compared: 4,
     })
-}
-
-/// Runs a full assignment churn trace (see [`orient_trace_run`]).
-pub(crate) fn assign_trace_run(
-    base: &AssignmentInstance,
-    trace: &[ChurnEvent],
-    mode: RepairMode,
-    threads: usize,
-    shards: usize,
-) -> Result<(RepairStats, Vec<u32>), String> {
-    let mut eng = AssignChurnEngine::new(base, mode)
-        .with_threads(threads)
-        .with_shards(shards);
-    let mut total = RepairStats::accumulator();
-    total.absorb(eng.stabilize());
-    eng.verify()
-        .map_err(|e| format!("initial stabilization: {e:?}"))?;
-    for (i, ev) in trace.iter().enumerate() {
-        total.absorb(
-            eng.apply(ev)
-                .map_err(|e| format!("event {i} {ev:?}: {e}"))?,
-        );
-        eng.verify()
-            .map_err(|e| format!("after event {i}: {e:?}"))?;
-    }
-    let fp: Vec<u32> = eng
-        .assignment_vector()
-        .iter()
-        .map(|a| a.map_or(0, |s| s + 1))
-        .collect();
-    Ok((total, fp))
 }
 
 fn check_assign_churn(
@@ -750,24 +694,6 @@ fn check_assign_churn(
         return Err("churn-assign: base instance shape drifted".into());
     }
 
-    let (base_stats, base_fp) = assign_trace_run(&base, &trace, RepairMode::Incremental, 1, 1)?;
-    let (rec_stats, rec_fp) = assign_trace_run(&base, &trace, RepairMode::FullRecompute, 1, 1)?;
-    if rec_fp != base_fp {
-        return Err("full recompute diverges from incremental repair".into());
-    }
-    compare_counts(
-        "full recompute",
-        (rec_stats.rounds as u64, rec_stats.messages),
-        (base_stats.rounds as u64, base_stats.messages),
-    )?;
-    for (threads, shards) in [(2, 1), (2, 2)] {
-        let (stats, fp) =
-            assign_trace_run(&base, &trace, RepairMode::Incremental, threads, shards)?;
-        if fp != base_fp || stats != base_stats {
-            return Err(format!("threads {threads} x shards {shards} diverges"));
-        }
-    }
-
     // Metamorphic relabeling: permute server ids in the instance and trace.
     let sperm = permutation(ns, spec.seed);
     let lists: Vec<Vec<u32>> = (0..base.num_customers())
@@ -778,31 +704,30 @@ fn check_assign_churn(
                 .collect()
         })
         .collect();
-    let rbase = AssignmentInstance::new(ns, &lists);
-    let rtrace: Vec<ChurnEvent> = trace
-        .iter()
-        .map(|ev| match ev {
-            ChurnEvent::CustomerJoin { servers } => ChurnEvent::CustomerJoin {
-                servers: servers.iter().map(|&s| sperm[s as usize]).collect(),
-            },
-            ChurnEvent::ServerCapacity { server, capacity } => ChurnEvent::ServerCapacity {
-                server: sperm[*server as usize],
-                capacity: *capacity,
-            },
-            other => other.clone(),
-        })
-        .collect();
-    let (_, rfp) = assign_trace_run(&rbase, &rtrace, RepairMode::Incremental, 1, 1)?;
-    if rfp.len() != base_fp.len() {
-        return Err("relabeled trace changed the customer count".into());
-    }
-
+    let twin = WorkloadInstance::AssignChurn {
+        base: AssignmentInstance::new(ns, &lists),
+        trace: trace
+            .iter()
+            .map(|ev| match ev {
+                ChurnEvent::CustomerJoin { servers } => ChurnEvent::CustomerJoin {
+                    servers: servers.iter().map(|&s| sperm[s as usize]).collect(),
+                },
+                ChurnEvent::ServerCapacity { server, capacity } => ChurnEvent::ServerCapacity {
+                    server: sperm[*server as usize],
+                    capacity: *capacity,
+                },
+                other => other.clone(),
+            })
+            .collect(),
+    };
+    let nodes = base.num_customers() + ns;
     let edges = (0..base.num_customers()).map(|c| base.degree_of(c)).sum();
+    let stats = churn_differential(&WorkloadInstance::AssignChurn { base, trace }, &twin)?;
     Ok(FuzzReport {
-        nodes: base.num_customers() + ns,
+        nodes,
         edges,
-        rounds: base_stats.rounds as u64,
-        messages: base_stats.messages,
+        rounds: stats.rounds as u64,
+        messages: stats.messages,
         compared: 4,
     })
 }

@@ -42,15 +42,12 @@
 
 use crate::spec::{WorkloadInstance, WorkloadSpec};
 use std::time::Instant;
-use td_assign::repair::AssignChurnEngine;
 use td_core::proposal;
 use td_local::{
-    ExecPerf, Inbox, NodeInit, Outbox, Protocol, RepairMode, RepairStats, RoundCtx, RoundStats,
+    drive_trace, ExecPerf, Inbox, NodeInit, Outbox, Protocol, RepairMode, RoundCtx, RoundStats,
     ShardExecStats, SimOutcome, Simulator, Status,
 };
 use td_orient::protocol::run_distributed;
-use td_orient::repair::OrientChurnEngine;
-use td_orient::Orientation;
 
 /// Schema tag written into every report; bump on any incompatible change.
 pub const SCHEMA: &str = "td-perf/v1";
@@ -841,10 +838,15 @@ fn run_churn(cfg: &SweepConfig, family: &'static str, size: u32) -> Result<Vec<P
         let mut last = None;
         for _ in 0..cfg.repeat.max(1) {
             let built = spec.build()?;
+            // Timed: engine set-up, stabilization, the trace, and a verify
+            // after every event.
             let t0 = Instant::now();
-            let measured = run_churn_once(family, built, threads, shards)?;
+            let (mut eng, trace) = built
+                .into_engine(RepairMode::Incremental, threads, shards, None)
+                .ok_or_else(|| format!("{family}: expected a churn instance"))?;
+            let stats = drive_trace(eng.as_mut(), &trace).map_err(|e| format!("{family}: {e}"))?;
             wall_ns = wall_ns.min(t0.elapsed().as_nanos());
-            last = Some(measured);
+            last = Some((stats.total(), eng.num_nodes(), eng.num_edges()));
         }
         let (stats, nodes, edges) = last.expect("repeat >= 1");
         if !stats.completed {
@@ -877,60 +879,6 @@ fn run_churn(cfg: &SweepConfig, family: &'static str, size: u32) -> Result<Vec<P
         });
     }
     Ok(out)
-}
-
-/// One timed repetition of a churn grid point: stabilize, stream the
-/// trace, verify after every event.
-fn run_churn_once(
-    family: &'static str,
-    built: WorkloadInstance,
-    threads: usize,
-    shards: usize,
-) -> Result<(RepairStats, usize, usize), String> {
-    Ok(match built {
-        WorkloadInstance::OrientChurn { graph, trace } => {
-            let mut eng = OrientChurnEngine::new(
-                graph.clone(),
-                Orientation::toward_larger(&graph),
-                RepairMode::Incremental,
-            )
-            .with_threads(threads)
-            .with_shards(shards);
-            let mut total = RepairStats::accumulator();
-            total.absorb(eng.stabilize());
-            eng.verify()
-                .map_err(|e| format!("{family}: initial stabilization: {e:?}"))?;
-            for (i, ev) in trace.iter().enumerate() {
-                total.absorb(
-                    eng.apply(ev)
-                        .map_err(|e| format!("{family}: event {i}: {e}"))?,
-                );
-                eng.verify()
-                    .map_err(|e| format!("{family}: after event {i}: {e:?}"))?;
-            }
-            (total, eng.graph().num_nodes(), eng.graph().num_edges())
-        }
-        WorkloadInstance::AssignChurn { base, trace } => {
-            let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental)
-                .with_threads(threads)
-                .with_shards(shards);
-            let mut total = RepairStats::accumulator();
-            total.absorb(eng.stabilize());
-            eng.verify()
-                .map_err(|e| format!("{family}: initial stabilization: {e:?}"))?;
-            for (i, ev) in trace.iter().enumerate() {
-                total.absorb(
-                    eng.apply(ev)
-                        .map_err(|e| format!("{family}: event {i}: {e}"))?,
-                );
-                eng.verify()
-                    .map_err(|e| format!("{family}: after event {i}: {e:?}"))?;
-            }
-            let edges = (0..base.num_customers()).map(|c| base.degree_of(c)).sum();
-            (total, eng.num_alive() + base.num_servers(), edges)
-        }
-        _ => return Err(format!("{family}: expected a churn instance")),
-    })
 }
 
 // ------------------------------------------------------------------ JSON ---

@@ -150,7 +150,14 @@ pub trait Scenario: Sync {
     fn description(&self) -> &'static str;
     /// The size used when the caller does not specify one.
     fn default_size(&self) -> u32;
+    /// The smallest size [`Scenario::run`] accepts.
+    fn min_size(&self) -> u32 {
+        0
+    }
     /// Builds the instance, solves it on `sim`, verifies, reports.
+    ///
+    /// # Panics
+    /// If `size` is below [`Scenario::min_size`].
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport;
 }
 
@@ -172,6 +179,9 @@ impl Scenario for LayeredGame {
     }
     fn default_size(&self) -> u32 {
         6
+    }
+    fn min_size(&self) -> u32 {
+        1
     }
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport {
         let game = workloads::layered_game(size as usize, 4, seed);
@@ -211,6 +221,9 @@ impl Scenario for ContentionComb {
     fn default_size(&self) -> u32 {
         16
     }
+    fn min_size(&self) -> u32 {
+        1
+    }
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport {
         let game = TokenGame::contention_comb(size as usize);
         let t0 = Instant::now();
@@ -247,6 +260,9 @@ impl Scenario for Waterfall {
     }
     fn default_size(&self) -> u32 {
         8
+    }
+    fn min_size(&self) -> u32 {
+        1
     }
     fn run(&self, size: u32, seed: u64, sim: &Simulator) -> ScenarioReport {
         let k = size as usize;

@@ -3,7 +3,7 @@
 //!
 //! The paper treats token dropping as a one-shot computation; this module
 //! runs it as a *service*. A daemon thread owns a live churn engine
-//! ([`OrientChurnEngine`] or [`AssignChurnEngine`]) over a workload-family
+//! (a [`RepairEngine`]: orientation or assignment) over a workload-family
 //! instance, pulls [`ChurnEvent`]s from a bounded request channel, applies
 //! incremental repair per event, and answers load queries in the same
 //! stream. The generator emits a seeded, fixed-budget event mix on an
@@ -32,12 +32,11 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use td_assign::repair::AssignChurnEngine;
-use td_local::{ChurnEvent, ExecPerf, RepairMode, RepairStats};
-use td_orient::repair::OrientChurnEngine;
-use td_orient::Orientation;
+use td_local::{
+    fnv1a_words, stabilize_verified, ChurnEvent, ExecPerf, RepairEngine, RepairMode, RepairStats,
+};
 
-use crate::spec::{FamilyKind, WorkloadInstance, WorkloadSpec};
+use crate::spec::{FamilyKind, WorkloadSpec};
 use crate::Table;
 
 /// Version tag of the JSON document [`write_json`] emits.
@@ -122,98 +121,6 @@ pub fn nearest_rank(sorted_ns: &[u64], permille: u32) -> u64 {
     sorted_ns[(rank - 1) as usize]
 }
 
-/// FNV-1a over a word stream — the solution-fingerprint hash every serve /
-/// replay consumer shares, so fingerprints printed by different consumers
-/// of one trace are directly diffable.
-pub(crate) fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for v in words {
-        h ^= v;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-// ------------------------------------------------------------ the engine ---
-
-/// Either churn engine behind one service interface.
-enum ServeEngine {
-    Orient(Box<OrientChurnEngine>),
-    Assign(Box<AssignChurnEngine>),
-}
-
-impl ServeEngine {
-    fn apply(&mut self, ev: &ChurnEvent) -> Result<RepairStats, String> {
-        match self {
-            ServeEngine::Orient(e) => e.apply(ev).map_err(|er| er.to_string()),
-            ServeEngine::Assign(e) => e.apply(ev).map_err(|er| er.to_string()),
-        }
-    }
-
-    fn verify(&self) -> Result<(), String> {
-        match self {
-            ServeEngine::Orient(e) => e.verify().map_err(|er| format!("{er:?}")),
-            ServeEngine::Assign(e) => e.verify().map_err(|er| format!("{er:?}")),
-        }
-    }
-
-    /// FNV-1a over the current solution: orientation heads per edge in
-    /// canonical endpoint order (independent of how churn renumbered edge
-    /// ids), or
-    /// `server + 1` per customer slot (0 = unassigned / departed).
-    fn fingerprint(&self) -> u64 {
-        match self {
-            ServeEngine::Orient(e) => fnv1a_words(
-                e.orientation()
-                    .canonical_heads(e.graph())
-                    .map(|h| h.0 as u64),
-            ),
-            ServeEngine::Assign(e) => fnv1a_words(
-                e.assignment_vector()
-                    .iter()
-                    .map(|a| a.map_or(0, |s| s as u64 + 1)),
-            ),
-        }
-    }
-
-    /// Heaviest server / node load right now (the query answer).
-    fn max_load(&self) -> u32 {
-        match self {
-            ServeEngine::Orient(e) => {
-                let g = e.graph();
-                g.nodes()
-                    .map(|v| e.orientation().load(v))
-                    .max()
-                    .unwrap_or(0)
-            }
-            ServeEngine::Assign(e) => e.server_loads().into_iter().max().unwrap_or(0),
-        }
-    }
-
-    fn nodes(&self) -> usize {
-        match self {
-            ServeEngine::Orient(e) => e.graph().num_nodes(),
-            ServeEngine::Assign(e) => e.num_alive(),
-        }
-    }
-
-    fn exec_perf(&self) -> ExecPerf {
-        match self {
-            ServeEngine::Orient(e) => e.exec_perf(),
-            ServeEngine::Assign(e) => e.exec_perf(),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            ServeEngine::Orient(_) => "orient",
-            ServeEngine::Assign(_) => "assign",
-        }
-    }
-}
-
 // --------------------------------------------------------------- request ---
 
 /// What the generator puts on the daemon's request channel.
@@ -235,7 +142,7 @@ pub struct LoadSnapshot {
 
 /// What the daemon thread hands back when it drains out and exits.
 struct DaemonOutcome {
-    engine: ServeEngine,
+    engine: Box<dyn RepairEngine>,
     hist: LatencyHistogram,
     repair: RepairStats,
     busy: Duration,
@@ -530,7 +437,7 @@ impl ServeReport {
 // ------------------------------------------------------------ the daemon ---
 
 fn spawn_daemon(
-    mut engine: ServeEngine,
+    mut engine: Box<dyn RepairEngine>,
     rx: mpsc::Receiver<ServeRequest>,
 ) -> thread::JoinHandle<DaemonOutcome> {
     thread::Builder::new()
@@ -565,7 +472,7 @@ fn spawn_daemon(
                         queries += 1;
                         let _ = reply.send(LoadSnapshot {
                             max_load: engine.max_load(),
-                            nodes: engine.nodes(),
+                            nodes: engine.live_nodes(),
                         });
                     }
                 }
@@ -595,37 +502,21 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         None => cfg.budget,
     };
     let spec = cfg.spec.clone().with_param("events", budget);
-    let (mut engine, trace) = match spec.build()? {
-        WorkloadInstance::OrientChurn { graph, trace } => {
-            let mut eng = OrientChurnEngine::new(
-                graph.clone(),
-                Orientation::toward_larger(&graph),
-                RepairMode::Incremental,
-            )
-            .with_threads(cfg.threads)
-            .with_shards(cfg.shards);
-            if let Some(h) = cfg.stamp_horizon {
-                eng = eng.with_max_rounds(h / 2).with_stamp_horizon(h);
-            }
-            (ServeEngine::Orient(Box::new(eng)), trace)
-        }
-        WorkloadInstance::AssignChurn { base, trace } => {
-            let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental)
-                .with_threads(cfg.threads)
-                .with_shards(cfg.shards);
-            if let Some(h) = cfg.stamp_horizon {
-                eng = eng.with_max_rounds(h / 2).with_stamp_horizon(h);
-            }
-            (ServeEngine::Assign(Box::new(eng)), trace)
-        }
-        _ => {
-            return Err(format!(
+    let (mut engine, trace) = spec
+        .build()?
+        .into_engine(
+            RepairMode::Incremental,
+            cfg.threads,
+            cfg.shards,
+            cfg.stamp_horizon,
+        )
+        .ok_or_else(|| {
+            format!(
                 "family '{}' is not a churn family; serve needs one of: {}",
                 spec.family,
                 churn_families().join(", ")
-            ))
-        }
-    };
+            )
+        })?;
     // A recorded trace replaces the generated mix; the base instance (built
     // above — churn families draw the graph before the mix) is unchanged.
     let trace = match &cfg.trace {
@@ -633,17 +524,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         None => trace,
     };
     // Reach the first stable state before opening the doors.
-    match &mut engine {
-        ServeEngine::Orient(e) => {
-            e.stabilize();
-        }
-        ServeEngine::Assign(e) => {
-            e.stabilize();
-        }
-    }
-    engine
-        .verify()
-        .map_err(|e| format!("initial stabilization: {e}"))?;
+    stabilize_verified(engine.as_mut())?;
 
     let (tx, rx) = mpsc::sync_channel::<ServeRequest>(cfg.queue.max(1));
     let (reply_tx, reply_rx) = mpsc::channel::<LoadSnapshot>();
@@ -721,7 +602,10 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
 
     Ok(ServeReport {
         spec: spec.to_string(),
-        engine: outcome.engine.kind(),
+        engine: match spec.info().kind {
+            FamilyKind::AssignChurn => "assign",
+            _ => "orient",
+        },
         size: spec.size,
         seed: spec.seed,
         rate: cfg.rate,
@@ -729,7 +613,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         threads: cfg.threads,
         shards: cfg.shards,
         queue: cfg.queue,
-        nodes: outcome.engine.nodes(),
+        nodes: outcome.engine.live_nodes(),
         events: outcome.events,
         queries: outcome.queries,
         backpressure,
@@ -740,7 +624,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, String> {
         perf: outcome.engine.exec_perf(),
         latency: LatencySummary::from_hist(&mut outcome.hist),
         max_load: outcome.engine.max_load(),
-        fingerprint: outcome.engine.fingerprint(),
+        fingerprint: fnv1a_words(outcome.engine.solution_words()),
     })
 }
 

@@ -26,10 +26,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::fmt;
+use td_assign::repair::AssignChurnEngine;
 use td_assign::AssignmentInstance;
 use td_core::TokenGame;
 use td_graph::{CsrGraph, NodeId};
-use td_local::churn::ChurnEvent;
+use td_local::churn::{ChurnEvent, RepairEngine, RepairMode};
+use td_orient::repair::OrientChurnEngine;
+use td_orient::Orientation;
 
 /// Which pipeline a family's instances run through in the fuzz plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -760,6 +763,7 @@ impl fmt::Display for WorkloadSpec {
 
 /// A materialized workload: what [`WorkloadSpec::build`] hands to the
 /// family's pipeline.
+#[derive(Clone)]
 pub enum WorkloadInstance {
     /// A token dropping game (proposal protocol pipeline).
     Game(TokenGame),
@@ -786,6 +790,47 @@ pub enum WorkloadInstance {
         /// The event trace (valid by construction).
         trace: Vec<ChurnEvent>,
     },
+}
+
+impl WorkloadInstance {
+    /// The churn engine for a churn instance, plus its event trace: the
+    /// one place the drivers build an engine. Orientations start from
+    /// [`Orientation::toward_larger`], assignments from all customers
+    /// unassigned. `stamp_horizon` is a test hook: it lowers the stamp
+    /// renormalization horizon (see
+    /// [`td_local::ChurnSim::set_stamp_horizon`]) and caps single repair
+    /// runs at half of it, so headroom always exists. `None` if the
+    /// instance is not a churn instance.
+    pub fn into_engine(
+        self,
+        mode: RepairMode,
+        threads: usize,
+        shards: usize,
+        stamp_horizon: Option<u32>,
+    ) -> Option<(Box<dyn RepairEngine>, Vec<ChurnEvent>)> {
+        Some(match self {
+            WorkloadInstance::OrientChurn { graph, trace } => {
+                let o = Orientation::toward_larger(&graph);
+                let mut e = OrientChurnEngine::new(graph, o, mode)
+                    .with_threads(threads)
+                    .with_shards(shards);
+                if let Some(h) = stamp_horizon {
+                    e = e.with_max_rounds(h / 2).with_stamp_horizon(h);
+                }
+                (Box::new(e), trace)
+            }
+            WorkloadInstance::AssignChurn { base, trace } => {
+                let mut e = AssignChurnEngine::new(&base, mode)
+                    .with_threads(threads)
+                    .with_shards(shards);
+                if let Some(h) = stamp_horizon {
+                    e = e.with_max_rounds(h / 2).with_stamp_horizon(h);
+                }
+                (Box::new(e), trace)
+            }
+            _ => return None,
+        })
+    }
 }
 
 /// Renders the family registry as an aligned listing (used by `td fuzz`).

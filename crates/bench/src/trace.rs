@@ -46,12 +46,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use td_assign::AssignmentInstance;
 use td_graph::{CsrGraph, NodeId};
-use td_local::{ChurnEvent, RepairMode, RepairStats};
+use td_local::{drive, drive_trace, fnv1a_words, ChurnEvent, RepairMode, RepairStats};
 use td_orient::repair::OrientChurnEngine;
 use td_orient::Orientation;
 
 use crate::fuzz::{self, FuzzReport};
-use crate::serve::{fnv1a_words, serve, ServeConfig, ServeReport};
+use crate::serve::{serve, ServeConfig, ServeReport};
 use crate::spec::{FamilyKind, WorkloadInstance, WorkloadSpec};
 use crate::Table;
 
@@ -493,28 +493,22 @@ pub fn replay_engine(
     threads: usize,
     shards: usize,
 ) -> Result<ReplayOutcome, String> {
-    match trace.spec.build()? {
-        WorkloadInstance::OrientChurn { graph, .. } => {
-            let (stats, fp) = fuzz::orient_trace_run(&graph, &trace.events, mode, threads, shards)?;
-            Ok(ReplayOutcome {
-                events: trace.events.len(),
-                stats,
-                solution_fp: fnv1a_words(fp.iter().map(|&v| v as u64)),
-            })
-        }
-        WorkloadInstance::AssignChurn { base, .. } => {
-            let (stats, fp) = fuzz::assign_trace_run(&base, &trace.events, mode, threads, shards)?;
-            Ok(ReplayOutcome {
-                events: trace.events.len(),
-                stats,
-                solution_fp: fnv1a_words(fp.iter().map(|&v| v as u64)),
-            })
-        }
-        _ => Err(format!(
-            "'{}' is not a churn family; nothing to replay",
-            trace.spec.family
-        )),
-    }
+    let (mut engine, _) = trace
+        .spec
+        .build()?
+        .into_engine(mode, threads, shards, None)
+        .ok_or_else(|| {
+            format!(
+                "'{}' is not a churn family; nothing to replay",
+                trace.spec.family
+            )
+        })?;
+    let stats = drive_trace(engine.as_mut(), &trace.events)?;
+    Ok(ReplayOutcome {
+        events: trace.events.len(),
+        stats: stats.total(),
+        solution_fp: fnv1a_words(engine.solution_words()),
+    })
 }
 
 /// Replays the trace through the fuzz plane's full differential:
@@ -849,26 +843,27 @@ fn gen_hotspot(g: &CsrGraph, events: u32) -> Result<Vec<ChurnEvent>, String> {
         Orientation::toward_larger(g),
         RepairMode::Incremental,
     );
-    eng.stabilize();
-    eng.verify()
-        .map_err(|e| format!("hotspot: initial stabilization: {e:?}"))?;
     let mut order: Vec<NodeId> = g.nodes().collect();
     let mut out = Vec::with_capacity(events as usize);
-    for _ in 0..events {
+    let next = |eng: &OrientChurnEngine| {
+        if out.len() == events as usize {
+            return None;
+        }
         order.sort_by_key(|&v| (std::cmp::Reverse(eng.orientation().load(v)), v.0));
-        let mut pick = None;
-        'hunt: for &v in &order {
+        for &v in &order {
             for u in g.neighbor_ids(v) {
                 let e = g.edge_between(v, u).expect("neighbor implies edge");
                 if eng.orientation().head(e) != Some(v) {
-                    pick = Some(ChurnEvent::EdgeFlip { u: v, v: u });
-                    break 'hunt;
+                    out.push(ChurnEvent::EdgeFlip { u: v, v: u });
+                    return out.last().cloned();
                 }
             }
         }
-        let ev = pick.ok_or_else(|| "hotspot: graph has no edges to flip".to_string())?;
-        eng.apply(&ev).map_err(|e| format!("hotspot: {e}"))?;
-        out.push(ev);
+        None
+    };
+    drive(&mut eng, next, |_| {}).map_err(|e| format!("hotspot: {e}"))?;
+    if out.len() < events as usize {
+        return Err("hotspot: graph has no edges to flip".into());
     }
     Ok(out)
 }

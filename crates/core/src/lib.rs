@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dynamic;
 pub mod game;
 pub mod game_io;
 pub mod greedy;
@@ -42,7 +41,6 @@ pub mod solution;
 pub mod three_level;
 pub mod verify;
 
-pub use dynamic::DynamicGame;
 pub use game::TokenGame;
 pub use solution::{MoveEvent, MoveLog, Solution, Traversal};
 pub use verify::{verify_dynamics, verify_solution, Violation};

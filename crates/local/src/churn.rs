@@ -20,6 +20,9 @@
 //!   [`ChurnSim::reinit`]): an edge update costs O(Δ), not a rebuild.
 //! * [`RepairStats`] — rounds / messages / node-steps of one repair run,
 //!   the quantities experiment E15 compares against full recomputation.
+//! * [`RepairEngine`] — the interface every family's churn engine
+//!   implements, and [`drive`], the one loop that runs an engine through a
+//!   trace (stabilize, verify, then apply and verify per event).
 //!
 //! ## How sleeping nodes stay free
 //!
@@ -330,6 +333,138 @@ impl RepairStats {
             ..RepairStats::default()
         }
     }
+}
+
+/// A live instance under churn that repairs itself after every event: the
+/// one interface the orientation, assignment and balancing engines share,
+/// and the only one the drivers (serve, trace replay, fuzz, `td perf`,
+/// `td churn`, the balancer comparison) program against.
+pub trait RepairEngine: Send {
+    /// Runs the current state to quiescence: the first stable state after
+    /// construction, and the repair step after every event.
+    fn stabilize(&mut self) -> RepairStats;
+
+    /// Applies one event and repairs. Returns the repair cost.
+    fn apply(&mut self, event: &ChurnEvent) -> Result<RepairStats, ChurnError>;
+
+    /// Checks the maintained solution with the family's verifier.
+    fn verify(&self) -> Result<(), String>;
+
+    /// Lifetime executor work counters over every repair run so far.
+    fn exec_perf(&self) -> ExecPerf;
+
+    /// The maintained solution as words, the input of every solution
+    /// fingerprint: orientation heads in canonical edge order, `server + 1`
+    /// per customer id (0 = unassigned or departed), or the node loads.
+    fn solution_words(&self) -> Vec<u64>;
+
+    /// Heaviest node or server load.
+    fn max_load(&self) -> u32;
+
+    /// Nodes of the repair network (customers and servers both count).
+    fn num_nodes(&self) -> usize;
+
+    /// Nodes the serve plane reports as live: every network node, or only
+    /// the alive customers of an assignment.
+    fn live_nodes(&self) -> usize {
+        self.num_nodes()
+    }
+
+    /// Edges of the current instance.
+    fn num_edges(&self) -> usize;
+
+    /// Cost of solving the current instance from scratch: a fresh
+    /// full-recompute engine over it, started from the family's initial
+    /// solution and run to quiescence. Leaves `self` untouched.
+    fn recompute(&self) -> RepairStats;
+}
+
+/// FNV-1a over a word stream: the fingerprint of a
+/// [`RepairEngine::solution_words`] vector (and of any other word stream a
+/// report pins), so fingerprints printed by different drivers of one trace
+/// are directly diffable.
+pub fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for v in words {
+        h ^= v;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// Repair cost of one [`drive`]n trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceStats {
+    /// The initial stabilization.
+    pub stabilize: RepairStats,
+    /// Accumulated over the events.
+    pub events: RepairStats,
+    /// Events applied.
+    pub applied: u32,
+}
+
+impl TraceStats {
+    /// Stabilization plus events.
+    pub fn total(&self) -> RepairStats {
+        let mut t = self.stabilize;
+        t.absorb(self.events);
+        t
+    }
+}
+
+/// Stabilizes `engine` and verifies the first stable state.
+pub fn stabilize_verified<E: RepairEngine + ?Sized>(engine: &mut E) -> Result<RepairStats, String> {
+    let stats = engine.stabilize();
+    engine
+        .verify()
+        .map_err(|e| format!("initial stabilization: {e}"))?;
+    Ok(stats)
+}
+
+/// The engine loop every driver shares: stabilize and verify, then apply
+/// each event `next` yields and verify again. `next` sees the engine, so
+/// an adversarial source can read the repaired solution; `after` runs
+/// after every verified event.
+pub fn drive<E, T>(
+    engine: &mut E,
+    mut next: impl FnMut(&E) -> Option<T>,
+    mut after: impl FnMut(&E),
+) -> Result<TraceStats, String>
+where
+    E: RepairEngine + ?Sized,
+    T: std::borrow::Borrow<ChurnEvent>,
+{
+    let stabilize = stabilize_verified(engine)?;
+    let mut events = RepairStats::accumulator();
+    let mut applied = 0u32;
+    while let Some(ev) = next(engine) {
+        let ev = ev.borrow();
+        let stats = engine
+            .apply(ev)
+            .map_err(|e| format!("event {applied} {ev:?}: {e}"))?;
+        events.absorb(stats);
+        engine
+            .verify()
+            .map_err(|e| format!("after event {applied}: {e}"))?;
+        applied += 1;
+        after(engine);
+    }
+    Ok(TraceStats {
+        stabilize,
+        events,
+        applied,
+    })
+}
+
+/// [`drive`] over a recorded event list.
+pub fn drive_trace<E: RepairEngine + ?Sized>(
+    engine: &mut E,
+    trace: &[ChurnEvent],
+) -> Result<TraceStats, String> {
+    let mut events = trace.iter();
+    drive(engine, |_| events.next(), |_| {})
 }
 
 /// The wake side-channel: per-node "scheduled for next round" flags plus a

@@ -86,7 +86,8 @@ pub mod sim;
 mod spsc;
 
 pub use churn::{
-    ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats, TraceRecorder, WakeSet,
+    drive, drive_trace, fnv1a_words, stabilize_verified, ChurnError, ChurnEvent, ChurnSim,
+    RepairEngine, RepairMode, RepairStats, TraceRecorder, TraceStats, WakeSet,
 };
 pub use metrics::{ExecPerf, RoundStats, RunSummary, ShardExecStats, SimOutcome, Summarize};
 pub use protocol::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};

@@ -58,9 +58,9 @@
 use crate::orientation::{Orientation, UnhappyEdge};
 use td_graph::{CsrGraph, NodeId, Port};
 use td_local::churn::{
-    id_bits, split_role, ChurnError, ChurnEvent, ChurnSim, RepairMode, RepairStats,
+    id_bits, split_role, ChurnError, ChurnEvent, ChurnSim, RepairEngine, RepairMode, RepairStats,
 };
-use td_local::{Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
+use td_local::{ExecPerf, Inbox, NodeInit, Outbox, Protocol, RoundCtx, Status};
 
 /// Rounds per propose/accept/commit cycle.
 const PHASES: u32 = 3;
@@ -593,6 +593,57 @@ impl OrientChurnEngine {
             }
         }
         stats
+    }
+}
+
+impl RepairEngine for OrientChurnEngine {
+    fn stabilize(&mut self) -> RepairStats {
+        OrientChurnEngine::stabilize(self)
+    }
+
+    fn apply(&mut self, event: &ChurnEvent) -> Result<RepairStats, ChurnError> {
+        OrientChurnEngine::apply(self, event)
+    }
+
+    fn verify(&self) -> Result<(), String> {
+        OrientChurnEngine::verify(self).map_err(|e| format!("{e:?}"))
+    }
+
+    fn exec_perf(&self) -> ExecPerf {
+        OrientChurnEngine::exec_perf(self)
+    }
+
+    fn solution_words(&self) -> Vec<u64> {
+        self.orientation
+            .canonical_heads(self.graph())
+            .map(|h| h.0 as u64)
+            .collect()
+    }
+
+    fn max_load(&self) -> u32 {
+        self.orientation.loads().iter().copied().max().unwrap_or(0)
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.graph().num_nodes()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.graph().num_edges()
+    }
+
+    /// Stabilizes a full-recompute twin over the current graph from the
+    /// `toward_larger` start.
+    fn recompute(&self) -> RepairStats {
+        let g = self.graph();
+        OrientChurnEngine::new(
+            g.clone(),
+            Orientation::toward_larger(g),
+            RepairMode::FullRecompute,
+        )
+        .with_threads(self.threads)
+        .with_shards(self.shards)
+        .stabilize()
     }
 }
 

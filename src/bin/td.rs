@@ -329,6 +329,13 @@ fn cmd_bench(args: &[String]) -> i32 {
         return code;
     }
     let (size, seed, threads, shards) = (flags.size, flags.seed, flags.threads, flags.shards);
+    if size < sc.min_size() {
+        eprintln!(
+            "td bench: {name}: size {size} below the minimum {}",
+            sc.min_size()
+        );
+        return 2;
+    }
     // `--shards 1` is exactly the default (unsharded) path; outputs are
     // bit-identical across all three executors either way.
     let sim = if shards > 1 {
@@ -382,14 +389,20 @@ fn cmd_churn(args: &[String]) -> i32 {
     } else {
         RepairMode::Incremental
     };
-    let rep = sc.run(
+    let rep = match sc.run(
         flags.size,
         flags.events,
         flags.seed,
         flags.threads,
         mode,
         flags.compare,
-    );
+    ) {
+        Ok(rep) => rep,
+        Err(e) => {
+            eprintln!("td churn: {e}");
+            return 2;
+        }
+    };
     println!(
         "scenario:   {} ({}, churn)",
         rep.scenario,

@@ -29,8 +29,12 @@ fn repair_equals_full_recompute_over_100_traces() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
         for seed in 0..SEEDS_PER_SCENARIO {
-            let inc = sc.run(size, 8, seed, 1, RepairMode::Incremental, false);
-            let full = sc.run(size, 8, seed, 1, RepairMode::FullRecompute, false);
+            let inc = sc
+                .run(size, 8, seed, 1, RepairMode::Incremental, false)
+                .unwrap();
+            let full = sc
+                .run(size, 8, seed, 1, RepairMode::FullRecompute, false)
+                .unwrap();
             assert_eq!(
                 inc.fingerprint,
                 full.fingerprint,
@@ -69,9 +73,13 @@ fn parallel_incremental_matches_sequential() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
         for seed in [3u64, 17] {
-            let seq = sc.run(size, 8, seed, 1, RepairMode::Incremental, false);
+            let seq = sc
+                .run(size, 8, seed, 1, RepairMode::Incremental, false)
+                .unwrap();
             for &t in &THREADS {
-                let par = sc.run(size, 8, seed, t, RepairMode::Incremental, false);
+                let par = sc
+                    .run(size, 8, seed, t, RepairMode::Incremental, false)
+                    .unwrap();
                 assert_eq!(
                     seq.fingerprint,
                     par.fingerprint,
@@ -95,9 +103,13 @@ fn parallel_incremental_matches_sequential() {
 fn parallel_full_recompute_matches_sequential() {
     for sc in churn_registry() {
         let size = scenario_size(*sc);
-        let seq = sc.run(size, 6, 9, 1, RepairMode::FullRecompute, false);
+        let seq = sc
+            .run(size, 6, 9, 1, RepairMode::FullRecompute, false)
+            .unwrap();
         for &t in &THREADS {
-            let par = sc.run(size, 6, 9, t, RepairMode::FullRecompute, false);
+            let par = sc
+                .run(size, 6, 9, t, RepairMode::FullRecompute, false)
+                .unwrap();
             assert_eq!(
                 seq.fingerprint,
                 par.fingerprint,

@@ -759,6 +759,33 @@ fn degenerate_specs_exit_2_everywhere() {
     }
 }
 
+/// Every registered `td bench` and `td churn` scenario either runs or
+/// rejects a tiny `--size` as a usage error (exit 2); none panics.
+#[test]
+fn small_sizes_never_panic_any_scenario() {
+    let bench = td_bench::scenario::registry()
+        .iter()
+        .map(|s| ("bench", s.name()));
+    let churn = td_bench::churn::churn_registry()
+        .iter()
+        .map(|s| ("churn", s.name()));
+    for (cmd, name) in bench.chain(churn) {
+        for size in 0..=6 {
+            let size = size.to_string();
+            let out = Command::new(BIN)
+                .args([cmd, name, "--size", &size])
+                .output()
+                .unwrap();
+            let code = out.status.code();
+            assert!(
+                matches!(code, Some(0 | 2)),
+                "td {cmd} {name} --size {size}: exit {code:?}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+}
+
 /// `td compare` runs the balancer sweep, prints a per-protocol table plus
 /// the bit-identity summary line, and writes `td-compare/v1` JSON with one
 /// row per (instance, protocol) pair.

@@ -27,9 +27,13 @@ fn churn_repair_matches_sequential_at_every_thread_count() {
             _ => 6,
         };
         for &seed in &SEEDS {
-            let seq = sc.run(size, 6, seed, 1, RepairMode::Incremental, false);
+            let seq = sc
+                .run(size, 6, seed, 1, RepairMode::Incremental, false)
+                .unwrap();
             for &t in &THREADS {
-                let par = sc.run(size, 6, seed, t, RepairMode::Incremental, false);
+                let par = sc
+                    .run(size, 6, seed, t, RepairMode::Incremental, false)
+                    .unwrap();
                 assert_eq!(
                     seq.fingerprint,
                     par.fingerprint,

@@ -11,7 +11,7 @@
 
 use td_bench::scenario::{registry, ScenarioKind};
 use td_bench::workloads;
-use td_local::churn::RepairMode;
+use td_local::churn::{drive_trace, RepairEngine, RepairMode};
 use td_local::Simulator;
 use token_dropping::assign::protocol::run_distributed_assignment;
 use token_dropping::assign::repair::AssignChurnEngine;
@@ -132,35 +132,17 @@ fn assignment_outputs_identical_across_executors() {
     }
 }
 
-/// A sample of churn traces on the sharded plane: an adversarial edge-flip
-/// trace on the orientation repair engine, bit-identical repair stats and
-/// final solution across every shard × thread grid point.
-#[test]
-fn churn_orientation_trace_identical_on_sharded_plane() {
-    use td_graph::EdgeId;
+/// Drives the engine `make(shards, threads)` builds through `trace` at every
+/// shard × thread grid point: repair stats and final solution must equal
+/// the sequential run's.
+fn churn_trace_identical_on_sharded_plane(
+    make: impl Fn(usize, usize) -> Box<dyn RepairEngine>,
+    trace: &[ChurnEvent],
+) {
     let run = |shards: usize, threads: usize| {
-        let g = workloads::regular_graph(4, 10, 7);
-        let mut eng = OrientChurnEngine::new(
-            g.clone(),
-            Orientation::toward_larger(&g),
-            RepairMode::Incremental,
-        )
-        .with_threads(threads)
-        .with_shards(shards);
-        let mut total = eng.stabilize();
-        eng.verify().expect("initial stabilization");
-        // Deterministic flip trace: walk the edge list with a fixed stride.
-        for i in 0..12u32 {
-            let e = EdgeId((i * 7) % g.num_edges() as u32);
-            let (u, v) = g.endpoints(e);
-            total.absorb(eng.apply(&ChurnEvent::EdgeFlip { u, v }).expect("valid"));
-            eng.verify().expect("stable after repair");
-        }
-        let fingerprint: Vec<u32> = g
-            .edges()
-            .map(|e| eng.orientation().head(e).expect("complete").0)
-            .collect();
-        (total, fingerprint)
+        let mut eng = make(shards, threads);
+        let stats = drive_trace(eng.as_mut(), trace).unwrap_or_else(|e| panic!("{e}"));
+        (stats.total(), eng.solution_words())
     };
     let (seq_stats, seq_fp) = run(1, 1);
     for &s in &SHARDS {
@@ -172,48 +154,46 @@ fn churn_orientation_trace_identical_on_sharded_plane() {
     }
 }
 
+/// A sample of churn traces on the sharded plane: a deterministic edge-flip
+/// trace on the orientation repair engine.
+#[test]
+fn churn_orientation_trace_identical_on_sharded_plane() {
+    let g = workloads::regular_graph(4, 10, 7);
+    // Walk the edge list with a fixed stride.
+    let trace: Vec<ChurnEvent> = (0..12u32)
+        .map(|i| {
+            let (u, v) = g.endpoints(td_graph::EdgeId((i * 7) % g.num_edges() as u32));
+            ChurnEvent::EdgeFlip { u, v }
+        })
+        .collect();
+    let make = |shards, threads| -> Box<dyn RepairEngine> {
+        let o = Orientation::toward_larger(&g);
+        let eng = OrientChurnEngine::new(g.clone(), o, RepairMode::Incremental);
+        Box::new(eng.with_threads(threads).with_shards(shards))
+    };
+    churn_trace_identical_on_sharded_plane(make, &trace);
+}
+
 /// Same for the assignment repair engine, under a drain/rejoin trace.
 #[test]
 fn churn_assignment_trace_identical_on_sharded_plane() {
-    let run = |shards: usize, threads: usize| {
-        let base = workloads::uniform_assignment(18, 6, 11);
-        let mut eng = AssignChurnEngine::new(&base, RepairMode::Incremental)
-            .with_threads(threads)
-            .with_shards(shards);
-        let mut total = eng.stabilize();
-        eng.verify().expect("initial stabilization");
-        for i in 0..10u32 {
-            let ev = match i % 3 {
-                0 => ChurnEvent::ServerCapacity {
-                    server: (i / 3) % 6,
-                    capacity: 0,
-                },
-                1 => ChurnEvent::ServerCapacity {
-                    server: (i / 3) % 6,
-                    capacity: 1,
-                },
-                _ => ChurnEvent::CustomerJoin {
-                    servers: vec![i % 6, (i + 2) % 6],
-                },
-            };
-            total.absorb(eng.apply(&ev).expect("valid"));
-            eng.verify().expect("stable after repair");
-        }
-        let fp: Vec<u32> = eng
-            .assignment_vector()
-            .iter()
-            .map(|a| a.map_or(0, |s| s + 1))
-            .collect();
-        (total, fp)
+    let base = workloads::uniform_assignment(18, 6, 11);
+    let trace: Vec<ChurnEvent> = (0..10u32)
+        .map(|i| match i % 3 {
+            2 => ChurnEvent::CustomerJoin {
+                servers: vec![i % 6, (i + 2) % 6],
+            },
+            capacity => ChurnEvent::ServerCapacity {
+                server: (i / 3) % 6,
+                capacity,
+            },
+        })
+        .collect();
+    let make = |shards, threads| -> Box<dyn RepairEngine> {
+        let eng = AssignChurnEngine::new(&base, RepairMode::Incremental);
+        Box::new(eng.with_threads(threads).with_shards(shards))
     };
-    let (seq_stats, seq_fp) = run(1, 1);
-    for &s in &SHARDS {
-        for &t in &THREADS {
-            let (stats, fp) = run(s, t);
-            assert_eq!(seq_fp, fp, "assignment diverges at {s}x{t}");
-            assert_eq!(seq_stats, stats, "repair stats diverge at {s}x{t}");
-        }
-    }
+    churn_trace_identical_on_sharded_plane(make, &trace);
 }
 
 /// The quiesced-shard skip is observable: a workload whose active region
