@@ -12,7 +12,7 @@
 //! ## The repair protocol
 //!
 //! [`AssignRepairNode`] runs on the bipartite customer/server network
-//! (customers `0..nc`, servers `nc..nc+ns`) under the wake-based
+//! (servers `0..ns`, customers `ns..ns+nc`) under the wake-based
 //! [`ChurnSim`] executor, in deterministic 6-phase cycles:
 //!
 //! * **p0 (request)** — an unhappy customer whose server is donor-role and
@@ -38,9 +38,22 @@
 //! which terminates the dynamics. Idle nodes step as no-ops, so
 //! incremental and full-recompute ([`RepairMode::FullRecompute`]) runs are
 //! bit-identical in outputs, rounds, and messages — only node-steps differ.
+//!
+//! ## Membership churn in place
+//!
+//! Nothing the protocol decides depends on node numbering: a customer's
+//! id is its external id, carried on its requests and proposals, and the
+//! servers' role ids come from the shared [`RoleIds`]. So a join pushes one
+//! node and a leave swap-removes one ([`ChurnSim::push_node`],
+//! [`ChurnSim::swap_remove_node`]), and the host patches only the vacated
+//! server's load and its customers' caches — exactly what a network
+//! rebuilt from the host state would hold (the `rebuild_oracle` test
+//! module checks this after every event).
 
 use crate::assignment::{Assignment, Instability};
 use crate::instance::AssignmentInstance;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use td_graph::{GraphBuilder, NodeId, Port};
 use td_local::churn::{
     id_bits, split_role, ChurnError, ChurnEvent, ChurnSim, RepairEngine, RepairMode, RepairStats,
@@ -61,11 +74,12 @@ enum MsgKind {
     None,
     /// Server → customers: "my load is `a`, availability is `b`".
     Update,
-    /// Customer → its server: "let me leave this cycle".
+    /// Customer → its server: "let me leave this cycle; my id is `b`".
     LeaveRequest,
     /// Server → one customer: "you may leave".
     Grant,
-    /// Customer → target server: "admit me; my server's load is `a`".
+    /// Customer → target server: "admit me; my server's load is `a`, my
+    /// id is `b`".
     Propose,
     /// Server → one customer: "admitted; my load is now `a`".
     Accept,
@@ -81,19 +95,60 @@ pub struct AssignMsg {
     b: u32,
 }
 
+/// The identifiers the role schedule gives the servers, shared by every
+/// customer: server `s` takes its role as identifier `offset + s` of
+/// `bits` bits. The engine publishes `offset = nc` and `bits = id_bits(nc +
+/// ns)` — the ids of a network numbered customers first — between repairs,
+/// whenever the customer count changes; no repair sees them move. Relaxed
+/// atomics suffice: a run's readers are the host thread or workers it
+/// spawns after the write.
+#[derive(Debug, Default)]
+pub struct RoleIds {
+    offset: AtomicU32,
+    bits: AtomicU32,
+}
+
+impl RoleIds {
+    fn publish(&self, offset: usize, bits: u32) {
+        self.offset.store(offset as u32, Ordering::Relaxed);
+        self.bits.store(bits, Ordering::Relaxed);
+    }
+
+    /// True if server `s` is donor-role in `cycle` (see [`split_role`]).
+    #[inline]
+    fn donor(&self, s: u32, cycle: u32) -> bool {
+        let id = self.offset.load(Ordering::Relaxed) + s;
+        split_role(id, cycle, self.bits.load(Ordering::Relaxed))
+    }
+}
+
+impl PartialEq for RoleIds {
+    fn eq(&self, other: &Self) -> bool {
+        let load = |r: &RoleIds| {
+            (
+                r.offset.load(Ordering::Relaxed),
+                r.bits.load(Ordering::Relaxed),
+            )
+        };
+        load(self) == load(other)
+    }
+}
+
 /// Host-provided per-node input.
 #[derive(Clone, Debug)]
 pub enum AssignRepairInput {
     /// A customer node.
     Customer {
+        /// My external id: servers break ties by it.
+        key: u32,
         /// Port of the server I am assigned to, if any.
         assigned: Option<u32>,
         /// Cached server loads, by port.
         cache_load: Vec<u32>,
         /// Cached server availability, by port.
         cache_avail: Vec<bool>,
-        /// Identifier bits of the role schedule.
-        id_bits: u32,
+        /// The servers' role identifiers.
+        roles: Arc<RoleIds>,
     },
     /// A server node.
     Server {
@@ -103,15 +158,16 @@ pub enum AssignRepairInput {
         available: bool,
         /// Broadcast my state on the first step.
         announce: bool,
-        /// Identifier bits of the role schedule.
-        id_bits: u32,
     },
 }
 
 /// Customer-side state.
+#[derive(Debug, PartialEq)]
 pub struct CustomerState {
-    id_bits: u32,
-    nbr_ids: Vec<u32>,
+    key: u32,
+    roles: Arc<RoleIds>,
+    /// My candidate servers, by port (ascending: servers are nodes `0..ns`).
+    servers: Vec<u32>,
     /// Port of my current server.
     pub assigned: Option<Port>,
     cache_load: Vec<u32>,
@@ -120,8 +176,8 @@ pub struct CustomerState {
 }
 
 /// Server-side state.
+#[derive(Debug, PartialEq)]
 pub struct ServerState {
-    nbr_ids: Vec<u32>,
     /// Current load.
     pub load: u32,
     /// Accepting customers?
@@ -131,6 +187,7 @@ pub struct ServerState {
 }
 
 /// Node state: one side of the bipartite repair protocol.
+#[derive(Debug, PartialEq)]
 pub enum AssignRepairNode {
     /// A customer.
     Customer(CustomerState),
@@ -152,11 +209,11 @@ impl CustomerState {
             if Some(Port::from(p)) == self.assigned
                 || !self.cache_avail[p]
                 || self.cache_load[p] > limit
-                || split_role(self.nbr_ids[p], cycle, self.id_bits)
+                || self.roles.donor(self.servers[p], cycle)
             {
                 continue;
             }
-            let key = (self.cache_load[p], self.nbr_ids[p], p);
+            let key = (self.cache_load[p], self.servers[p], p);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
@@ -187,15 +244,17 @@ impl Protocol for AssignRepairNode {
     fn init(node: NodeInit<'_, AssignRepairInput>) -> Self {
         match node.input {
             AssignRepairInput::Customer {
+                key,
                 assigned,
                 cache_load,
                 cache_avail,
-                id_bits,
+                roles,
             } => {
                 debug_assert_eq!(cache_load.len(), node.degree());
                 AssignRepairNode::Customer(CustomerState {
-                    id_bits: *id_bits,
-                    nbr_ids: node.neighbor_ids.to_vec(),
+                    key: *key,
+                    roles: Arc::clone(roles),
+                    servers: node.neighbor_ids.to_vec(),
                     assigned: assigned.map(|p| Port::from(p as usize)),
                     cache_load: cache_load.clone(),
                     cache_avail: cache_avail.clone(),
@@ -206,9 +265,7 @@ impl Protocol for AssignRepairNode {
                 load,
                 available,
                 announce,
-                ..
             } => AssignRepairNode::Server(ServerState {
-                nbr_ids: node.neighbor_ids.to_vec(),
                 load: *load,
                 available: *available,
                 announce: *announce,
@@ -238,14 +295,15 @@ impl Protocol for AssignRepairNode {
                         c.proposed = None;
                         if let Some(ps) = c.assigned {
                             // My server must be donor-role to let me go.
-                            if split_role(c.nbr_ids[ps.idx()], cycle, c.id_bits)
+                            if c.roles.donor(c.servers[ps.idx()], cycle)
                                 && c.target(cycle).is_some()
                             {
                                 outbox.send(
                                     ps,
                                     AssignMsg {
                                         kind: MsgKind::LeaveRequest,
-                                        ..AssignMsg::default()
+                                        a: 0,
+                                        b: c.key,
                                     },
                                 );
                             }
@@ -269,7 +327,7 @@ impl Protocol for AssignRepairNode {
                                     AssignMsg {
                                         kind: MsgKind::Propose,
                                         a: from_load,
-                                        b: 0,
+                                        b: c.key,
                                     },
                                 );
                                 c.proposed = Some(pt);
@@ -320,7 +378,7 @@ impl Protocol for AssignRepairNode {
                             if m.kind != MsgKind::LeaveRequest {
                                 continue;
                             }
-                            let key = (s.nbr_ids[p.idx()], p);
+                            let key = (m.b, p);
                             if best.is_none_or(|b| key < b) {
                                 best = Some(key);
                             }
@@ -348,7 +406,7 @@ impl Protocol for AssignRepairNode {
                                 if !unassigned && m.a < s.load + 2 {
                                     continue; // no longer a valid improvement
                                 }
-                                let key = (unassigned, m.a, -(s.nbr_ids[p.idx()] as i64), p);
+                                let key = (unassigned, m.a, -(m.b as i64), p);
                                 if best.is_none_or(|b| key > b) {
                                     best = Some(key);
                                 }
@@ -410,27 +468,27 @@ impl Protocol for AssignRepairNode {
 ///
 /// External ids are stable across events: customers keep the id they were
 /// created with (departed ids are never reused), servers are `0..ns`
-/// forever. The internal bipartite network is rebuilt on shape changes
-/// (joins/leaves) and kept alive across in-place changes (drain/rejoin),
-/// where the arena's stamp machinery keeps untouched regions free.
+/// forever. The network lives as long as the engine: server `s` is node
+/// `s`, and the alive customers fill nodes `ns..ns + nc` in no particular
+/// order. A join pushes one node, a leave moves the last customer into the
+/// leaver's node, and a drain or rejoin patches states only; each costs
+/// O(poly Δ) host work, whatever the instance size.
 pub struct AssignChurnEngine {
-    /// Candidate servers per external customer id; `None` = departed.
-    customers: Vec<Option<Vec<u32>>>,
     /// Availability per server.
     available: Vec<bool>,
     /// Maintained assignment per external customer id.
     assigned: Vec<Option<u32>>,
-    /// Alive external customer ids, ascending = internal network order.
-    alive: Vec<u32>,
+    /// Network node of each external customer id; `None` = departed.
+    node_of: Vec<Option<u32>>,
+    /// External id of the customer at node `ns + i`, by `i`.
+    ext_of: Vec<u32>,
+    /// The servers' role identifiers every customer reads.
+    roles: Arc<RoleIds>,
     sim: ChurnSim<AssignRepairNode>,
     mode: RepairMode,
     threads: usize,
     shards: usize,
     max_rounds: u32,
-    stamp_horizon: Option<u32>,
-    /// Work counters of sims retired by membership rebuilds (the live sim's
-    /// share is read on demand; see [`AssignChurnEngine::exec_perf`]).
-    perf_retired: td_local::ExecPerf,
 }
 
 impl AssignChurnEngine {
@@ -438,31 +496,25 @@ impl AssignChurnEngine {
     /// customers initially unassigned. Call
     /// [`AssignChurnEngine::stabilize`] to compute the first assignment.
     pub fn new(inst: &AssignmentInstance, mode: RepairMode) -> Self {
-        let customers: Vec<Option<Vec<u32>>> = (0..inst.num_customers())
-            .map(|c| Some(inst.servers_of(c).to_vec()))
-            .collect();
+        let nc = inst.num_customers();
         let available = vec![true; inst.num_servers()];
-        let assigned = vec![None; inst.num_customers()];
-        let alive: Vec<u32> = (0..inst.num_customers() as u32).collect();
-        let sim = Self::build_sim(
-            &customers,
-            &available,
-            &assigned,
-            &alive,
-            inst.num_servers(),
-        );
+        let assigned = vec![None; nc];
+        let customers: Vec<(u32, &[u32])> =
+            (0..nc).map(|c| (c as u32, inst.servers_of(c))).collect();
+        let roles = Arc::new(RoleIds::default());
+        let sim = Self::build_sim(&available, &assigned, &customers, &roles);
+        let ns = available.len() as u32;
         AssignChurnEngine {
-            customers,
             available,
             assigned,
-            alive,
+            node_of: (0..nc as u32).map(|c| Some(ns + c)).collect(),
+            ext_of: (0..nc as u32).collect(),
+            roles,
             sim,
             mode,
             threads: 1,
             shards: 1,
             max_rounds: 10_000_000,
-            stamp_horizon: None,
-            perf_retired: td_local::ExecPerf::default(),
         }
     }
 
@@ -488,104 +540,98 @@ impl AssignChurnEngine {
         self
     }
 
-    /// Lowers the stamp-renormalization horizon of the underlying sim (and
-    /// of every sim this engine rebuilds on membership churn) — a test hook
-    /// for crossing the wrap point quickly; see
+    /// Lowers the stamp-renormalization horizon of the underlying sim — a
+    /// test hook for crossing the wrap point quickly; see
     /// [`ChurnSim::set_stamp_horizon`].
     pub fn with_stamp_horizon(mut self, horizon: u32) -> Self {
-        self.stamp_horizon = Some(horizon);
         self.sim.set_stamp_horizon(horizon);
         self
     }
 
     /// Lifetime [`td_local::ExecPerf`] work counters over every repair this
-    /// engine has run, including sims retired by membership rebuilds.
+    /// engine has run.
     pub fn exec_perf(&self) -> td_local::ExecPerf {
-        let mut p = self.perf_retired;
-        p.absorb(self.sim.exec_perf());
-        p
+        self.sim.exec_perf()
     }
 
     fn num_servers(&self) -> usize {
         self.available.len()
     }
 
-    /// Internal network id of external customer `c`.
-    fn int_of(&self, c: u32) -> Option<usize> {
-        self.alive.binary_search(&c).ok()
-    }
-
-    fn build_sim(
-        customers: &[Option<Vec<u32>>],
+    /// Builds the repair network from host state: servers `0..ns` (one per
+    /// entry of `available`), then one customer per entry of `customers` —
+    /// its external id and sorted candidate list — with loads and caches
+    /// computed from `assigned`. Publishes the role ids into `roles`.
+    pub(crate) fn build_sim(
         available: &[bool],
         assigned: &[Option<u32>],
-        alive: &[u32],
-        num_servers: usize,
+        customers: &[(u32, &[u32])],
+        roles: &Arc<RoleIds>,
     ) -> ChurnSim<AssignRepairNode> {
-        let nc = alive.len();
-        let n = nc + num_servers;
-        let mut loads = vec![0u32; num_servers];
-        for &c in alive {
+        let ns = available.len();
+        let n = ns + customers.len();
+        let mut loads = vec![0u32; ns];
+        for &(c, _) in customers {
             if let Some(s) = assigned[c as usize] {
                 loads[s as usize] += 1;
             }
         }
         let mut b = GraphBuilder::new(n);
-        for (i, &c) in alive.iter().enumerate() {
-            for &s in customers[c as usize].as_ref().expect("alive customer") {
-                b.add_edge(NodeId::from(i), NodeId::from(nc + s as usize))
+        for (i, &(_, list)) in customers.iter().enumerate() {
+            for &s in list {
+                b.add_edge(NodeId::from(ns + i), NodeId(s))
                     .expect("customer lists are duplicate-free");
             }
         }
         let graph = b.build().expect("valid bipartite network");
         let bits = id_bits(n);
-        let inputs: Vec<AssignRepairInput> = (0..n)
-            .map(|v| {
-                if v < nc {
-                    let c = alive[v] as usize;
-                    let list = customers[c].as_ref().expect("alive customer");
-                    // Ports follow insertion order == candidate list order.
-                    let assigned_port = assigned[c]
-                        .map(|s| list.iter().position(|&x| x == s).expect("assigned ∈ list"));
-                    AssignRepairInput::Customer {
-                        assigned: assigned_port.map(|p| p as u32),
-                        cache_load: list.iter().map(|&s| loads[s as usize]).collect(),
-                        cache_avail: list.iter().map(|&s| available[s as usize]).collect(),
-                        id_bits: bits,
-                    }
-                } else {
-                    AssignRepairInput::Server {
-                        load: loads[v - nc],
-                        available: available[v - nc],
-                        announce: false,
-                        id_bits: bits,
-                    }
-                }
+        roles.publish(customers.len(), bits);
+        let inputs: Vec<AssignRepairInput> = (0..ns)
+            .map(|s| AssignRepairInput::Server {
+                load: loads[s],
+                available: available[s],
+                announce: false,
             })
+            .chain(customers.iter().map(|&(c, list)| {
+                let load = |s: u32| loads[s as usize];
+                customer_input(c, list, assigned[c as usize], load, available, roles)
+            }))
             .collect();
         let mut sim = ChurnSim::new(graph, &inputs);
-        // round % PHASES picks the phase; split_role reads cycle % 2 and
-        // (cycle / 2) % bits — jointly periodic in 2 · bits cycles. Declared
-        // so stamp renormalization can never disturb the role schedule.
-        sim.set_round_period(PHASES * 2 * bits);
+        sim.set_round_period(round_period(bits));
         sim
     }
 
-    fn rebuild(&mut self) {
-        self.alive = (0..self.customers.len() as u32)
-            .filter(|&c| self.customers[c as usize].is_some())
-            .collect();
-        self.perf_retired.absorb(self.sim.exec_perf());
-        self.sim = Self::build_sim(
-            &self.customers,
-            &self.available,
-            &self.assigned,
-            &self.alive,
-            self.num_servers(),
-        );
-        if let Some(h) = self.stamp_horizon {
-            self.sim.set_stamp_horizon(h);
+    /// Publishes the role ids and the round period of a network of `nc`
+    /// customers; called before the patch that makes it so, because the
+    /// patch realigns the round counter to the period.
+    fn renumber(&mut self, nc: usize) {
+        let bits = id_bits(nc + self.num_servers());
+        self.roles.publish(nc, bits);
+        self.sim.set_round_period(round_period(bits));
+    }
+
+    fn server_mut(&mut self, s: u32) -> &mut ServerState {
+        match self.sim.state_mut(NodeId(s)) {
+            AssignRepairNode::Server(ss) => ss,
+            AssignRepairNode::Customer(_) => unreachable!("servers are nodes 0..ns"),
         }
+    }
+
+    /// The alive customers as (external id, node), ascending by id.
+    fn alive(&self) -> impl Iterator<Item = (u32, NodeId)> + '_ {
+        (0u32..)
+            .zip(&self.node_of)
+            .filter_map(|(c, v)| v.map(|v| (c, NodeId(v))))
+    }
+
+    /// The available candidate servers of customer node `v`.
+    fn options(&self, v: NodeId) -> impl Iterator<Item = u32> + '_ {
+        let g = self.sim.graph();
+        g.neighbors(v)
+            .iter()
+            .copied()
+            .filter(|&s| self.available[s as usize])
     }
 
     fn wake_dirty(&mut self, dirty: &[NodeId]) {
@@ -612,12 +658,11 @@ impl AssignChurnEngine {
         assert!(stats.completed, "repair hit the round cap");
         // Sync the maintained assignment from the customers the repair
         // stepped: no other node state changed.
+        let ns = self.num_servers();
         for v in self.sim.stepped() {
             if let AssignRepairNode::Customer(cs) = &self.sim.states()[v.idx()] {
-                let c = self.alive[v.idx()] as usize;
-                self.assigned[c] = cs
-                    .assigned
-                    .map(|p| self.customers[c].as_ref().expect("alive")[p.idx()]);
+                let c = self.ext_of[v.idx() - ns] as usize;
+                self.assigned[c] = cs.assigned.map(|p| cs.servers[p.idx()]);
             }
         }
         stats
@@ -626,8 +671,8 @@ impl AssignChurnEngine {
     /// Wakes every unhappy or unassigned-with-options customer (or every
     /// node under [`RepairMode::FullRecompute`]) and runs to quiescence.
     pub fn stabilize(&mut self) -> RepairStats {
-        let dirty: Vec<NodeId> = (0..self.alive.len())
-            .filter(|&i| match &self.sim.states()[i] {
+        let dirty: Vec<NodeId> = (self.num_servers()..self.sim.graph().num_nodes())
+            .filter(|&v| match &self.sim.states()[v] {
                 AssignRepairNode::Customer(c) => c.unhappy(),
                 AssignRepairNode::Server(_) => false,
             })
@@ -664,35 +709,56 @@ impl AssignChurnEngine {
         if list.iter().any(|&s| s as usize >= self.num_servers()) {
             return Err(ChurnError::NoSuchEntity("candidate server".into()));
         }
-        let ext = self.customers.len() as u32;
-        self.customers.push(Some(list));
+        let ext = self.node_of.len() as u32;
+        self.renumber(self.ext_of.len() + 1);
+        let load = |s: u32| match &self.sim.states()[s as usize] {
+            AssignRepairNode::Server(ss) => ss.load,
+            AssignRepairNode::Customer(_) => unreachable!("servers are nodes 0..ns"),
+        };
+        let input = customer_input(ext, &list, None, load, &self.available, &self.roles);
+        let nbrs: Vec<NodeId> = list.iter().map(|&s| NodeId(s)).collect();
+        let v = self.sim.push_node(&nbrs, &input);
+        self.node_of.push(Some(v.0));
+        self.ext_of.push(ext);
         self.assigned.push(None);
-        self.rebuild();
-        let int = self.int_of(ext).expect("just added") as u32;
-        self.wake_dirty(&[NodeId(int)]);
+        self.wake_dirty(&[v]);
         Ok(self.run_repair())
     }
 
     fn apply_leave(&mut self, c: u32) -> Result<RepairStats, ChurnError> {
-        if self
-            .customers
-            .get(c as usize)
-            .is_none_or(|slot| slot.is_none())
-        {
+        let Some(v) = self.node_of.get(c as usize).copied().flatten() else {
             return Err(ChurnError::NoSuchEntity(format!("customer {c}")));
-        }
+        };
         let old_server = self.assigned[c as usize].take();
-        self.customers[c as usize] = None;
-        self.rebuild();
-        // Customers adjacent to the vacated server may now move into it.
+        self.node_of[c as usize] = None;
+        self.renumber(self.ext_of.len() - 1);
+        // The last customer moves into the leaver's node.
+        let i = v as usize - self.num_servers();
+        self.sim.swap_remove_node(NodeId(v));
+        self.ext_of.swap_remove(i);
+        if let Some(&moved) = self.ext_of.get(i) {
+            self.node_of[moved as usize] = Some(v);
+        }
+        // The vacated server's load drops by one: patch it and its
+        // customers' caches to what a rebuilt network would hold (no
+        // announce, no message), and let those customers move into it.
         let dirty: Vec<NodeId> = match old_server {
-            Some(s) => self
-                .sim
-                .graph()
-                .neighbors(NodeId::from(self.alive.len() + s as usize))
-                .iter()
-                .map(|&v| NodeId(v))
-                .collect(),
+            Some(s) => {
+                let srv = self.server_mut(s);
+                srv.load -= 1;
+                let load = srv.load;
+                let dirty: Vec<NodeId> = self.sim.graph().neighbor_ids(NodeId(s)).collect();
+                for &u in &dirty {
+                    if let AssignRepairNode::Customer(cs) = self.sim.state_mut(u) {
+                        let p = cs
+                            .servers
+                            .binary_search(&s)
+                            .expect("a neighbor's candidate");
+                        cs.cache_load[p] = load;
+                    }
+                }
+                dirty
+            }
             None => Vec::new(),
         };
         self.wake_dirty(&dirty);
@@ -711,27 +777,29 @@ impl AssignChurnEngine {
             )));
         }
         self.available[server as usize] = !drain;
-        let srv_node = NodeId::from(self.alive.len() + server as usize);
+        let srv_node = NodeId(server);
         let mut dirty = vec![srv_node];
         if drain {
-            // Evict the server's customers: they rejoin through the
-            // unassigned path of the protocol.
-            for i in 0..self.alive.len() {
-                let c = self.alive[i] as usize;
-                if self.assigned[c] == Some(server) {
-                    self.assigned[c] = None;
-                    if let AssignRepairNode::Customer(cs) = self.sim.state_mut(NodeId::from(i)) {
-                        cs.assigned = None;
-                    }
-                    dirty.push(NodeId::from(i));
+            // Evict the server's customers, found on its row: they rejoin
+            // through the unassigned path of the protocol.
+            let ns = self.num_servers();
+            dirty.extend(
+                self.sim
+                    .graph()
+                    .neighbor_ids(srv_node)
+                    .filter(|u| self.assigned[self.ext_of[u.idx() - ns] as usize] == Some(server)),
+            );
+            for &u in &dirty[1..] {
+                self.assigned[self.ext_of[u.idx() - ns] as usize] = None;
+                if let AssignRepairNode::Customer(cs) = self.sim.state_mut(u) {
+                    cs.assigned = None;
                 }
             }
         }
-        if let AssignRepairNode::Server(ss) = self.sim.state_mut(srv_node) {
-            ss.available = !drain;
-            ss.load = 0;
-            ss.announce = true;
-        }
+        let srv = self.server_mut(server);
+        srv.available = !drain;
+        srv.load = 0;
+        srv.announce = true;
         self.wake_dirty(&dirty);
         Ok(self.run_repair())
     }
@@ -751,7 +819,7 @@ impl AssignChurnEngine {
     /// Per-server loads of the maintained assignment.
     pub fn server_loads(&self) -> Vec<u32> {
         let mut loads = vec![0u32; self.num_servers()];
-        for &c in &self.alive {
+        for &c in &self.ext_of {
             if let Some(s) = self.assigned[c as usize] {
                 loads[s as usize] += 1;
             }
@@ -761,12 +829,7 @@ impl AssignChurnEngine {
 
     /// Number of alive customers.
     pub fn num_alive(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// Availability per server.
-    pub fn availability(&self) -> &[bool] {
-        &self.available
+        self.ext_of.len()
     }
 
     /// The semi-matching cost Σ load(load+1)/2 of the maintained assignment.
@@ -784,14 +847,8 @@ impl AssignChurnEngine {
     pub fn effective_instance(&self) -> (AssignmentInstance, Assignment, Vec<u32>) {
         let mut lists: Vec<Vec<u32>> = Vec::new();
         let mut ids: Vec<u32> = Vec::new();
-        for &c in &self.alive {
-            let list: Vec<u32> = self.customers[c as usize]
-                .as_ref()
-                .expect("alive")
-                .iter()
-                .copied()
-                .filter(|&s| self.available[s as usize])
-                .collect();
+        for (c, v) in self.alive() {
+            let list: Vec<u32> = self.options(v).collect();
             if !list.is_empty() {
                 lists.push(list);
                 ids.push(c);
@@ -810,16 +867,42 @@ impl AssignChurnEngine {
     /// Verifies the maintained assignment is stable on the effective
     /// instance, and that only option-less customers are unassigned.
     pub fn verify(&self) -> Result<(), Instability> {
-        let (inst, a, ids) = self.effective_instance();
-        for &c in &self.alive {
-            if !ids.contains(&c) {
-                // No available candidate: must be unassigned.
-                if self.assigned[c as usize].is_some() {
-                    return Err(Instability::Unassigned(c as usize));
-                }
+        for (c, v) in self.alive() {
+            // No available candidate: must be unassigned.
+            if self.assigned[c as usize].is_some() && self.options(v).next().is_none() {
+                return Err(Instability::Unassigned(c as usize));
             }
         }
+        let (inst, a, _) = self.effective_instance();
         a.verify_stable(&inst)
+    }
+}
+
+/// `round % PHASES` picks the phase; [`split_role`] reads `cycle % 2` and
+/// `(cycle / 2) % bits` — jointly periodic in `2 · bits` cycles. Declared
+/// so stamp renormalization and patches can never disturb the schedule.
+fn round_period(bits: u32) -> u32 {
+    PHASES * 2 * bits
+}
+
+/// The input of a customer with external id `key`, sorted candidate list
+/// `list` and assignment `assigned`, given each server's load.
+fn customer_input(
+    key: u32,
+    list: &[u32],
+    assigned: Option<u32>,
+    load: impl Fn(u32) -> u32,
+    available: &[bool],
+    roles: &Arc<RoleIds>,
+) -> AssignRepairInput {
+    // Ports follow the sorted list: servers are the nodes below customers.
+    let port = assigned.map(|s| list.iter().position(|&x| x == s).expect("assigned ∈ list"));
+    AssignRepairInput::Customer {
+        key,
+        assigned: port.map(|p| p as u32),
+        cache_load: list.iter().map(|&s| load(s)).collect(),
+        cache_avail: list.iter().map(|&s| available[s as usize]).collect(),
+        roles: Arc::clone(roles),
     }
 }
 
@@ -852,21 +935,17 @@ impl RepairEngine for AssignChurnEngine {
     }
 
     fn num_nodes(&self) -> usize {
-        self.alive.len() + self.num_servers()
+        self.sim.graph().num_nodes()
     }
 
     fn live_nodes(&self) -> usize {
-        self.alive.len()
+        self.num_alive()
     }
 
     /// Candidate adjacencies of the effective instance: alive customers to
     /// available servers.
     fn num_edges(&self) -> usize {
-        self.alive
-            .iter()
-            .flat_map(|&c| self.customers[c as usize].as_deref().unwrap_or(&[]))
-            .filter(|&&s| self.available[s as usize])
-            .count()
+        self.alive().map(|(_, v)| self.options(v).count()).sum()
     }
 
     /// Stabilizes a full-recompute twin over the effective instance, all
@@ -879,6 +958,9 @@ impl RepairEngine for AssignChurnEngine {
             .stabilize()
     }
 }
+
+#[cfg(test)]
+mod rebuild_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -2,12 +2,54 @@
 //!
 //! The builder enforces the simple-graph invariants (no self-loops, no
 //! parallel edges) at insertion time and produces sorted adjacency plus the
-//! mirror table in O(n + m log Δ).
+//! mirror table with one sort of the edge list and two linear passes.
 
 use crate::csr::CsrGraph;
 use crate::ids::NodeId;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A set of edge keys `(min, max)` hashed with [`PairHasher`].
+pub(crate) type PairSet = HashSet<(u32, u32), BuildHasherDefault<PairHasher>>;
+
+/// A multiplicative (Fx-style) hasher for small integer keys such as edge
+/// endpoint pairs: one rotate, xor and multiply per word instead of
+/// SipHash's rounds. Not DoS-resistant: the keys are node ids below `n`,
+/// and an edge list crafted to collide can at worst slow the build of the
+/// process that reads it.
+#[derive(Default)]
+pub(crate) struct PairHasher(u64);
+
+impl PairHasher {
+    const SEED: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for PairHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    /// The multiply leaves the low bits weakly mixed; the rotate moves
+    /// the well-mixed high bits down to where the table indexes.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Errors produced while building a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +90,7 @@ impl std::error::Error for BuildError {}
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<(u32, u32)>,
-    seen: HashSet<(u32, u32)>,
+    seen: PairSet,
 }
 
 impl GraphBuilder {
@@ -57,7 +99,7 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             edges: Vec::new(),
-            seen: HashSet::new(),
+            seen: PairSet::default(),
         }
     }
 
@@ -66,7 +108,7 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             edges: Vec::with_capacity(m),
-            seen: HashSet::with_capacity(m),
+            seen: PairSet::with_capacity_and_hasher(m, Default::default()),
         }
     }
 
@@ -143,48 +185,26 @@ impl GraphBuilder {
             offsets[i + 1] += offsets[i];
         }
 
-        // Fill pass. Because `endpoints` is sorted and within each pair a < b,
-        // scanning edges in order inserts neighbors in increasing order *for
-        // the `a` side* but not necessarily for the `b` side, so we sort each
-        // adjacency bucket afterwards, carrying edge ids along.
+        // Fill pass. Every row comes out sorted without a sort: node `v`
+        // meets its edges `(a, v)`, `a < v`, before its edges `(v, b)`,
+        // `b > v`, because `endpoints` is sorted, and each group arrives
+        // in ascending order of the other endpoint. The two slots of an
+        // edge are known when it is placed, so the mirrors are too.
         let mut cursor = offsets.clone();
         let mut neighbors = vec![0u32; 2 * m];
         let mut edge_ids = vec![0u32; 2 * m];
-        for (e, &(a, b)) in endpoints.iter().enumerate() {
-            let sa = cursor[a as usize] as usize;
-            cursor[a as usize] += 1;
-            neighbors[sa] = b;
-            edge_ids[sa] = e as u32;
-            let sb = cursor[b as usize] as usize;
-            cursor[b as usize] += 1;
-            neighbors[sb] = a;
-            edge_ids[sb] = e as u32;
-        }
-        let mut perm: Vec<u32> = Vec::new();
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            perm.clear();
-            perm.extend(0..(hi - lo) as u32);
-            perm.sort_unstable_by_key(|&i| neighbors[lo + i as usize]);
-            let tmp_n: Vec<u32> = perm.iter().map(|&i| neighbors[lo + i as usize]).collect();
-            let tmp_e: Vec<u32> = perm.iter().map(|&i| edge_ids[lo + i as usize]).collect();
-            neighbors[lo..hi].copy_from_slice(&tmp_n);
-            edge_ids[lo..hi].copy_from_slice(&tmp_e);
-        }
-
-        // Mirror pass: for each edge, find its slot at both endpoints.
         let mut mirror = vec![0u32; 2 * m];
-        let mut slot_of_edge_a = vec![u32::MAX; m];
-        for (s, &e) in edge_ids.iter().enumerate() {
-            let e = e as usize;
-            if slot_of_edge_a[e] == u32::MAX {
-                slot_of_edge_a[e] = s as u32;
-            } else {
-                let s0 = slot_of_edge_a[e] as usize;
-                mirror[s0] = s as u32;
-                mirror[s] = s0 as u32;
-            }
+        for (e, &(a, b)) in endpoints.iter().enumerate() {
+            let sa = cursor[a as usize];
+            cursor[a as usize] += 1;
+            let sb = cursor[b as usize];
+            cursor[b as usize] += 1;
+            neighbors[sa as usize] = b;
+            edge_ids[sa as usize] = e as u32;
+            mirror[sa as usize] = sb;
+            neighbors[sb as usize] = a;
+            edge_ids[sb as usize] = e as u32;
+            mirror[sb as usize] = sa;
         }
 
         // Rows back to back with no slack: the patch methods grow a row

@@ -21,7 +21,10 @@
 //! the graph in O(Δ): a row stays sorted by shifting within it, and a full
 //! row moves to the array tail with doubled capacity, re-pointing the
 //! mirrors of its slots. Slots a row leaves behind are dead; per-slot
-//! arrays are sized by [`CsrGraph::num_slots`], which counts them.
+//! arrays are sized by [`CsrGraph::num_slots`], which counts them. Nodes
+//! come and go at the end of the id range: [`CsrGraph::push_node`] appends
+//! an isolated node, and [`CsrGraph::swap_remove_node`] moves the last
+//! node into a removed node's id, so ids stay dense `0..n`.
 //!
 //! Edge ids stay dense `0..m` under deletion by *swap-remove*: the edge
 //! with the last id takes the deleted edge's id (see
@@ -314,6 +317,73 @@ impl CsrGraph {
         Some(e)
     }
 
+    /// Appends an isolated node `n` and returns its id. Its row gets room
+    /// for `capacity` ports at the tail of the slot arrays, so its first
+    /// `capacity` edges move no row.
+    pub fn push_node(&mut self, capacity: usize) -> NodeId {
+        let at = self.num_slots();
+        assert!(
+            at + capacity <= u32::MAX as usize,
+            "slot index overflows u32"
+        );
+        for slots in [&mut self.neighbors, &mut self.edge_ids, &mut self.mirror] {
+            slots.resize(at + capacity, 0);
+        }
+        self.rows.push((at as u32, at as u32));
+        self.limits.push((at + capacity) as u32);
+        NodeId(self.rows.len() as u32 - 1)
+    }
+
+    /// Removes the last node, which must be isolated. Its row's slots
+    /// become dead, unless the row sits at the tail of the slot arrays,
+    /// which then shrink.
+    ///
+    /// # Panics
+    /// If the graph has no node or the last node has an edge.
+    fn pop_node(&mut self) {
+        let (lo, hi) = self.rows.pop().expect("a node to pop");
+        assert_eq!(lo, hi, "only an isolated node can be popped");
+        let limit = self.limits.pop().expect("one limit per row") as usize;
+        if limit == self.num_slots() {
+            for slots in [&mut self.neighbors, &mut self.edge_ids, &mut self.mirror] {
+                slots.truncate(lo as usize);
+            }
+        }
+    }
+
+    /// Removes node `v` and its edges like `Vec::swap_remove`: if `v` was
+    /// not the last node, the last node takes id `v` together with its
+    /// edges. Returns the id the moved node had, if one moved. The moved
+    /// node keeps its ports (its neighbors are the same, in the same
+    /// order); its neighbors' and `v`'s former neighbors' ports shift as
+    /// under [`CsrGraph::remove_edge`] and [`CsrGraph::insert_edge`].
+    /// Edge ids stay dense but are reassigned (O(Δ²) work at `v`, the last
+    /// node and their neighbors).
+    ///
+    /// # Panics
+    /// If `v` is out of range.
+    pub fn swap_remove_node(&mut self, v: NodeId) -> Option<NodeId> {
+        let n = self.num_nodes();
+        assert!(
+            v.idx() < n,
+            "node {v} out of range for graph with {n} nodes"
+        );
+        let last = NodeId(n as u32 - 1);
+        while let Some(&u) = self.neighbors(v).last() {
+            self.remove_edge(v, NodeId(u));
+        }
+        if v != last {
+            // Ascending, so each edge lands at the end of `v`'s row.
+            while let Some(&u) = self.neighbors(last).first() {
+                self.remove_edge(last, NodeId(u));
+                self.insert_edge(v, NodeId(u))
+                    .expect("v has no edges left, and u < n - 1 is in range");
+            }
+        }
+        self.pop_node();
+        (v != last).then_some(last)
+    }
+
     /// Opens a slot for neighbor `w` (edge `e`) in `v`'s row at its sorted
     /// position and returns it; the caller sets its mirror.
     fn open_slot(&mut self, v: NodeId, w: u32, e: u32) -> usize {
@@ -588,6 +658,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn node_patches_match_a_rebuild_of_the_relabeled_edge_set() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 5), (0, 5)]).unwrap();
+        // The model: the edge set as pairs, relabeled by hand.
+        let mut pairs: Vec<(u32, u32)> = g.edge_list().map(|(_, a, b)| (a.0, b.0)).collect();
+        for step in 0..400 {
+            let n = g.num_nodes() as u32;
+            if n < 3 || rng.gen_bool(0.55) {
+                let k = rng.gen_range(0..4usize).min(n as usize);
+                let v = g.push_node(k);
+                assert_eq!(v, NodeId(n));
+                let mut picked: Vec<u32> = Vec::new();
+                while picked.len() < k {
+                    let u = rng.gen_range(0..n);
+                    if !picked.contains(&u) {
+                        picked.push(u);
+                        g.insert_edge(v, NodeId(u)).unwrap();
+                        pairs.push((u, n));
+                    }
+                }
+            } else {
+                let v = rng.gen_range(0..n);
+                let last = n - 1;
+                let moved = g.swap_remove_node(NodeId(v));
+                assert_eq!(moved, (v != last).then_some(NodeId(last)));
+                pairs.retain(|&(a, b)| a != v && b != v);
+                for (a, b) in &mut pairs {
+                    for x in [&mut *a, &mut *b] {
+                        if *x == last {
+                            *x = v;
+                        }
+                    }
+                    (*a, *b) = ((*a).min(*b), (*a).max(*b));
+                }
+            }
+            g.validate().unwrap();
+            let fresh = CsrGraph::from_edges(g.num_nodes(), &pairs).unwrap();
+            for v in g.nodes() {
+                assert_eq!(g.neighbors(v), fresh.neighbors(v), "step {step}, {v}");
+            }
+            assert_eq!(g.num_edges(), pairs.len());
+        }
+    }
+
+    #[test]
+    fn popping_the_tail_row_shrinks_the_slot_arrays() {
+        let mut g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+        let v = g.push_node(3);
+        assert_eq!(g.num_slots(), 7);
+        g.pop_node();
+        assert_eq!((g.num_nodes(), g.num_slots()), (3, 4));
+        // A row that is not at the tail leaves a dead slot behind.
+        let v2 = g.push_node(1); // slot 4
+        assert_eq!(v, v2);
+        g.insert_edge(v2, NodeId(0)).unwrap(); // node 0's full row moves to 5..7
+        assert_eq!(g.num_slots(), 7);
+        assert_eq!(g.swap_remove_node(v2), None);
+        g.validate().unwrap();
+        assert_eq!((g.num_nodes(), g.num_slots()), (3, 7));
     }
 
     #[test]

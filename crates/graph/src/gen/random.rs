@@ -1,7 +1,7 @@
 //! Randomized graph generators: Erdős–Rényi, random regular (configuration
 //! model), and bipartite customer/server workloads.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{GraphBuilder, PairSet};
 use crate::csr::CsrGraph;
 use crate::ids::NodeId;
 use rand::seq::SliceRandom;
@@ -120,7 +120,7 @@ pub fn random_regular(
     }
     'attempt: for _ in 0..max_attempts {
         stubs.shuffle(rng);
-        let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(n * d / 2);
+        let mut seen = PairSet::with_capacity_and_hasher(n * d / 2, Default::default());
         // Pair stubs sequentially; on a collision (self-loop or parallel
         // edge) retry with a random later stub a bounded number of times
         // (local repair beats whole-attempt rejection for denser d).

@@ -17,7 +17,9 @@
 //!   the nodes that messages reach — untouched regions are never stepped
 //!   and pay **zero protocol work**. Topology churn is patched in place
 //!   too ([`ChurnSim::insert_edge`], [`ChurnSim::remove_edge`],
-//!   [`ChurnSim::reinit`]): an edge update costs O(Δ), not a rebuild.
+//!   [`ChurnSim::push_node`], [`ChurnSim::swap_remove_node`],
+//!   [`ChurnSim::reinit`]): an edge or node update costs O(poly Δ), not a
+//!   rebuild.
 //! * [`RepairStats`] — rounds / messages / node-steps of one repair run,
 //!   the quantities experiment E15 compares against full recomputation.
 //! * [`RepairEngine`] — the interface every family's churn engine
@@ -557,7 +559,8 @@ impl StepLog {
 /// "quiesce until a message arrives", and the round counter is monotonic so
 /// the arena's stamps keep invalidating stale slots for free. Between runs
 /// the host may patch the topology ([`ChurnSim::insert_edge`],
-/// [`ChurnSim::remove_edge`]) and re-initialize nodes
+/// [`ChurnSim::remove_edge`], [`ChurnSim::push_node`],
+/// [`ChurnSim::swap_remove_node`]) and re-initialize nodes
 /// ([`ChurnSim::reinit`]); the sim stays alive across both.
 ///
 /// ```
@@ -754,6 +757,54 @@ impl<P: Protocol> ChurnSim<P> {
         let e = self.graph.remove_edge(u, v)?;
         self.after_patch();
         Some(e)
+    }
+
+    /// Appends node `n` with an edge to each of `neighbors`, booted from
+    /// `input` against those ports (sorted by neighbor id), and returns
+    /// its id. Its row is sized to fit (see [`CsrGraph::push_node`]). The
+    /// neighbors' new ports sort last in their rows, since `n` is the
+    /// largest id; the host re-initializes or patches any neighbor whose
+    /// state the edit changes. The same quiescence rule as
+    /// [`ChurnSim::insert_edge`] applies.
+    ///
+    /// # Panics
+    /// If a neighbor is out of range or repeated, or the sim is not
+    /// quiescent.
+    pub fn push_node(&mut self, neighbors: &[NodeId], input: &P::Input) -> NodeId {
+        self.assert_quiescent();
+        let v = self.graph.push_node(neighbors.len());
+        for &u in neighbors {
+            self.graph
+                .insert_edge(v, u)
+                .unwrap_or_else(|e| panic!("push_node: {e}"));
+        }
+        self.arena.grow(self.graph.num_slots());
+        self.states.push(P::init(NodeInit {
+            id: v,
+            neighbor_ids: self.graph.neighbors(v),
+            input,
+        }));
+        self.wake.flags.push(AtomicBool::new(false));
+        self.log.seen.push(false);
+        self.after_patch();
+        v
+    }
+
+    /// Removes node `v` with its edges; if `v` was not the last node, the
+    /// last node moves into id `v` with its edges and its state (see
+    /// [`CsrGraph::swap_remove_node`]: its ports are unchanged). Returns
+    /// the id the moved node had, if one moved. A protocol whose states
+    /// store their own id or their neighbors' ids needs the host to patch
+    /// them; the same quiescence rule as [`ChurnSim::insert_edge`] applies.
+    pub fn swap_remove_node(&mut self, v: NodeId) -> Option<NodeId> {
+        self.assert_quiescent();
+        let moved = self.graph.swap_remove_node(v);
+        self.arena.grow(self.graph.num_slots());
+        self.states.swap_remove(v.idx());
+        self.wake.flags.pop();
+        self.log.seen.pop();
+        self.after_patch();
+        moved
     }
 
     fn assert_quiescent(&self) {
@@ -1836,6 +1887,47 @@ mod tests {
             assert_eq!(outs(&sim), outs(&fresh));
             // {9, 3} carried the flood across the cut edge {5, 6}.
             assert!(outs(&sim).iter().all(|&b| b == 8), "{:?}", outs(&sim));
+        }
+    }
+
+    #[test]
+    fn node_patches_behave_like_a_sim_built_over_the_patched_graph() {
+        for grid in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+            let mut sim: ChurnSim<Relay> = ChurnSim::new(path(10), &[0; 10]);
+            sim.set_round_period(3);
+            raise(&mut sim, 0, 5, grid);
+            // Node 10 joins between 2 and 7; node 4 leaves, so node 10
+            // moves into id 4 with its edges and its state.
+            let v = sim.push_node(&[NodeId(7), NodeId(2)], &6);
+            assert_eq!((v, sim.round() % 6), (NodeId(10), 0));
+            assert_eq!(sim.graph().neighbors(v), &[2, 7]);
+            assert_eq!(sim.swap_remove_node(NodeId(4)), Some(NodeId(10)));
+            assert_eq!(sim.round() % 6, 0, "a patch realigns to lcm(2, period)");
+            assert_eq!(sim.graph().neighbors(NodeId(4)), &[2, 7]);
+            assert_eq!(sim.states()[4].best, 6, "the moved node keeps its state");
+            sim.graph().validate().unwrap();
+            let bests: Vec<u64> = sim.states().iter().map(|s| s.best).collect();
+            let patched = raise(&mut sim, 9, 8, grid);
+            let patched_steps: Vec<NodeId> = sim.stepped().collect();
+
+            let edges: Vec<(u32, u32)> = sim
+                .graph()
+                .edge_list()
+                .map(|(_, a, b)| (a.0, b.0))
+                .collect();
+            let mut fresh: ChurnSim<Relay> =
+                ChurnSim::new(CsrGraph::from_edges(10, &edges).unwrap(), &bests);
+            fresh.set_round_period(3);
+            let rebuilt = raise(&mut fresh, 9, 8, grid);
+            assert_eq!(patched, rebuilt, "grid {grid:?}");
+            assert_eq!(patched_steps, fresh.stepped().collect::<Vec<_>>());
+            let outs = |s: &ChurnSim<Relay>| s.states().iter().map(|s| s.best).collect::<Vec<_>>();
+            assert_eq!(outs(&sim), outs(&fresh));
+            // The flood crossed the cut at 4 through the moved node's edges.
+            assert!(outs(&sim).iter().all(|&b| b == 8), "{:?}", outs(&sim));
+            // Removing the last node moves nothing.
+            assert_eq!(sim.swap_remove_node(NodeId(9)), None);
+            assert_eq!((sim.graph().num_nodes(), sim.states().len()), (9, 9));
         }
     }
 

@@ -174,11 +174,14 @@ fn churn_orientation_trace_identical_on_sharded_plane() {
     churn_trace_identical_on_sharded_plane(make, &trace);
 }
 
-/// Same for the assignment repair engine, under a drain/rejoin trace.
+/// Same for the assignment repair engine, under a drain/rejoin trace with
+/// joins and leaves: the leaves take the last customer node, a middle one
+/// (the last customer moves into it), the first one, and the moved
+/// customer from its new node, so swap-removes patch the sharded plane.
 #[test]
 fn churn_assignment_trace_identical_on_sharded_plane() {
     let base = workloads::uniform_assignment(18, 6, 11);
-    let trace: Vec<ChurnEvent> = (0..10u32)
+    let mut trace: Vec<ChurnEvent> = (0..10u32)
         .map(|i| match i % 3 {
             2 => ChurnEvent::CustomerJoin {
                 servers: vec![i % 6, (i + 2) % 6],
@@ -189,6 +192,11 @@ fn churn_assignment_trace_identical_on_sharded_plane() {
             },
         })
         .collect();
+    // Customers 18, 19, 20 joined last, in that order.
+    trace.extend([20, 7, 0, 19].map(ChurnEvent::CustomerLeave));
+    trace.push(ChurnEvent::CustomerJoin {
+        servers: vec![1, 4],
+    });
     let make = |shards, threads| -> Box<dyn RepairEngine> {
         let eng = AssignChurnEngine::new(&base, RepairMode::Incremental);
         Box::new(eng.with_threads(threads).with_shards(shards))
